@@ -30,6 +30,12 @@ const std::string& NodeFingerprints::Find(const std::string& name) const {
 NodeFingerprints ComputeNodeFingerprints(
     const pipeline::Dag& dag, const std::set<std::string>& selected,
     const catalog::Catalog* catalog, const std::string& ref) {
+  return ComputeNodeFingerprints(dag, selected, catalog->Pin(ref));
+}
+
+NodeFingerprints ComputeNodeFingerprints(
+    const pipeline::Dag& dag, const std::set<std::string>& selected,
+    const catalog::PinnedTables& tables) {
   NodeFingerprints fps;
 
   // Expectation specs per audited node, ordered by expectation name (the
@@ -71,7 +77,7 @@ NodeFingerprints ComputeNodeFingerprints(
       } else {
         // Replayed upstream: materialized in the catalog; its content id
         // is the immutable table-metadata key at the pinned commit.
-        auto metadata_key = catalog->GetTable(ref, up);
+        auto metadata_key = tables.GetTable(up);
         if (!metadata_key.ok()) {
           cacheable = false;
           break;
@@ -81,7 +87,7 @@ NodeFingerprints ComputeNodeFingerprints(
     }
     if (cacheable) {
       for (const auto& table : dag_node.source_tables) {
-        auto metadata_key = catalog->GetTable(ref, table);
+        auto metadata_key = tables.GetTable(table);
         if (!metadata_key.ok()) {
           cacheable = false;
           break;

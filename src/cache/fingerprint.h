@@ -49,10 +49,15 @@ struct NodeFingerprints {
 /// serves --parallel 1 and vice versa.
 ///
 /// Resolution failures are not errors: the affected node (and its cone)
-/// just gets an empty key.
+/// just gets an empty key. The catalog is read once per call.
 NodeFingerprints ComputeNodeFingerprints(
     const pipeline::Dag& dag, const std::set<std::string>& selected,
     const catalog::Catalog* catalog, const std::string& ref);
+
+/// Same, over a table map the caller already pinned (no catalog reads).
+NodeFingerprints ComputeNodeFingerprints(
+    const pipeline::Dag& dag, const std::set<std::string>& selected,
+    const catalog::PinnedTables& tables);
 
 }  // namespace bauplan::cache
 

@@ -102,8 +102,15 @@ Result<std::vector<std::string>> Catalog::ListBranches() const {
 }
 
 bool Catalog::HasBranch(const std::string& name) const {
-  auto ref = ReadRef("branch", name);
-  return ref.ok() && ref->has_value();
+  return BranchHead(name).ok();
+}
+
+Result<std::string> Catalog::BranchHead(const std::string& name) const {
+  BAUPLAN_ASSIGN_OR_RETURN(auto head, ReadRef("branch", name));
+  if (!head.has_value()) {
+    return Status::NotFound(StrCat("no branch named '", name, "'"));
+  }
+  return *head;
 }
 
 Result<std::string> Catalog::ResolveRef(const std::string& ref) const {
@@ -138,9 +145,16 @@ Result<std::string> Catalog::Resolve(const RefSpec& spec) const {
 Result<Commit> Catalog::GetCommit(const std::string& commit_id) const {
   auto data = store_->Get(CommitKey(commit_id));
   if (!data.ok()) {
+    if (!data.status().IsNotFound()) return data.status();
     return Status::NotFound(StrCat("no commit with id '", commit_id, "'"));
   }
-  return Commit::Deserialize(*data);
+  BAUPLAN_ASSIGN_OR_RETURN(Commit commit, Commit::Deserialize(*data));
+  if (commit.id != commit_id) {
+    return Status::IOError(StrCat("commit object '", commit_id,
+                                  "' hashes to ", commit.id,
+                                  " (corrupt or swapped)"));
+  }
+  return commit;
 }
 
 Result<std::vector<Commit>> Catalog::Log(const std::string& ref,
@@ -165,11 +179,20 @@ Result<std::map<std::string, std::string>> Catalog::GetTables(
 
 Result<std::string> Catalog::GetTable(const std::string& ref,
                                       const std::string& table_name) const {
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables, GetTables(ref));
-  auto it = tables.find(table_name);
-  if (it == tables.end()) {
+  return Pin(ref).GetTable(table_name);
+}
+
+PinnedTables Catalog::Pin(const std::string& ref) const {
+  return PinnedTables(ref, GetTables(ref));
+}
+
+Result<std::string> PinnedTables::GetTable(
+    const std::string& table_name) const {
+  BAUPLAN_RETURN_NOT_OK(tables_.status());
+  auto it = tables_->find(table_name);
+  if (it == tables_->end()) {
     return Status::NotFound(StrCat("no table named '", table_name,
-                                   "' at ref '", ref, "'"));
+                                   "' at ref '", ref_, "'"));
   }
   return it->second;
 }
@@ -179,16 +202,13 @@ Result<std::string> Catalog::CommitChanges(const std::string& branch,
                                            const std::string& author,
                                            const TableChanges& changes,
                                            const std::string& expected_head) {
-  BAUPLAN_ASSIGN_OR_RETURN(auto head, ReadRef("branch", branch));
-  if (!head.has_value()) {
-    return Status::NotFound(StrCat("no branch named '", branch, "'"));
-  }
-  if (!expected_head.empty() && *head != expected_head) {
+  BAUPLAN_ASSIGN_OR_RETURN(std::string head, BranchHead(branch));
+  if (!expected_head.empty() && head != expected_head) {
     return Status::Conflict(
         StrCat("branch '", branch, "' moved from ", expected_head, " to ",
-               *head, "; rebase and retry"));
+               head, "; rebase and retry"));
   }
-  BAUPLAN_ASSIGN_OR_RETURN(Commit parent, GetCommit(*head));
+  BAUPLAN_ASSIGN_OR_RETURN(Commit parent, GetCommit(head));
 
   Commit next;
   next.parent_id = parent.id;
@@ -209,67 +229,51 @@ Result<std::string> Catalog::CommitChanges(const std::string& branch,
   return id;
 }
 
-Result<bool> Catalog::IsAncestor(const std::string& ancestor,
-                                 const std::string& descendant) const {
-  std::string id = descendant;
-  while (!id.empty()) {
-    if (id == ancestor) return true;
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    id = c.parent_id;
-  }
-  return false;
-}
-
-Result<std::string> Catalog::CommonAncestor(const std::string& a,
-                                            const std::string& b) const {
-  std::set<std::string> seen;
-  std::string id = a;
-  while (!id.empty()) {
-    seen.insert(id);
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    id = c.parent_id;
-  }
-  id = b;
-  while (!id.empty()) {
-    if (seen.count(id) > 0) return id;
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    id = c.parent_id;
-  }
-  return Status::Internal("commits share no ancestor (disjoint histories)");
-}
-
 Result<MergeResult> Catalog::Merge(const std::string& from_ref,
                                    const std::string& to_branch,
                                    const std::string& author) {
   BAUPLAN_ASSIGN_OR_RETURN(std::string from_id, ResolveRef(from_ref));
-  BAUPLAN_ASSIGN_OR_RETURN(auto to_head, ReadRef("branch", to_branch));
-  if (!to_head.has_value()) {
-    return Status::NotFound(StrCat("no branch named '", to_branch, "'"));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string to_head, BranchHead(to_branch));
+  if (from_id == to_head) return MergeResult{to_head, true};
+
+  // Walk the source's first-parent chain. Reaching the target head means
+  // a fast-forward, found by reading only the commits the source added.
+  std::set<std::string> from_chain;
+  std::optional<Commit> theirs;
+  for (std::string id = from_id; !id.empty();) {
+    if (id == to_head) {
+      BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, from_id));
+      return MergeResult{from_id, true};
+    }
+    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
+    from_chain.insert(id);
+    id = c.parent_id;
+    if (!theirs.has_value()) theirs = std::move(c);
   }
 
-  // Already merged.
-  BAUPLAN_ASSIGN_OR_RETURN(bool from_in_to, IsAncestor(from_id, *to_head));
-  if (from_in_to) return MergeResult{*to_head, true};
-
-  // Fast-forward: target head is an ancestor of the source.
-  BAUPLAN_ASSIGN_OR_RETURN(bool ff, IsAncestor(*to_head, from_id));
-  if (ff) {
-    BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, from_id));
-    return MergeResult{from_id, true};
+  // Otherwise the merge base is the first commit on the target's chain
+  // that the source also has. A base equal to the source means the
+  // source is already merged.
+  std::optional<Commit> ours;
+  std::string base_id = to_head;
+  while (from_chain.count(base_id) == 0) {
+    if (base_id.empty()) {
+      return Status::Internal(
+          "commits share no ancestor (disjoint histories)");
+    }
+    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(base_id));
+    base_id = c.parent_id;
+    if (!ours.has_value()) ours = std::move(c);
   }
+  if (base_id == from_id) return MergeResult{to_head, true};
 
-  // Three-way merge against the common ancestor.
-  BAUPLAN_ASSIGN_OR_RETURN(std::string base_id,
-                           CommonAncestor(from_id, *to_head));
+  // Three-way merge against the base.
   BAUPLAN_ASSIGN_OR_RETURN(Commit base, GetCommit(base_id));
-  BAUPLAN_ASSIGN_OR_RETURN(Commit ours, GetCommit(*to_head));
-  BAUPLAN_ASSIGN_OR_RETURN(Commit theirs, GetCommit(from_id));
-
-  std::map<std::string, std::string> merged = ours.tables;
+  std::map<std::string, std::string> merged = ours->tables;
   std::set<std::string> all_names;
   for (const auto& [n, k] : base.tables) all_names.insert(n);
-  for (const auto& [n, k] : ours.tables) all_names.insert(n);
-  for (const auto& [n, k] : theirs.tables) all_names.insert(n);
+  for (const auto& [n, k] : ours->tables) all_names.insert(n);
+  for (const auto& [n, k] : theirs->tables) all_names.insert(n);
 
   auto lookup = [](const std::map<std::string, std::string>& m,
                    const std::string& n) -> std::string {
@@ -278,8 +282,8 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
   };
   for (const auto& name : all_names) {
     std::string in_base = lookup(base.tables, name);
-    std::string in_ours = lookup(ours.tables, name);
-    std::string in_theirs = lookup(theirs.tables, name);
+    std::string in_ours = lookup(ours->tables, name);
+    std::string in_theirs = lookup(theirs->tables, name);
     if (in_ours == in_theirs) continue;  // agree (incl. both deleted)
     bool ours_changed = in_ours != in_base;
     bool theirs_changed = in_theirs != in_base;
@@ -298,8 +302,8 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
   }
 
   Commit merge;
-  merge.parent_id = ours.id;
-  merge.merge_parent_id = theirs.id;
+  merge.parent_id = ours->id;
+  merge.merge_parent_id = theirs->id;
   merge.message = StrCat("merge ", from_ref, " into ", to_branch);
   merge.author = author;
   merge.timestamp_micros = clock_->NowMicros();

@@ -28,6 +28,32 @@ struct MergeResult {
   bool fast_forward = false;
 };
 
+/// One ref's table map, read once. A consumer that looks up several
+/// tables (a query, a run, a check) pins one, so every lookup sees the
+/// same commit and costs no further catalog reads. A failed resolution
+/// is kept and returned by every lookup.
+class PinnedTables {
+ public:
+  PinnedTables(std::string ref,
+               Result<std::map<std::string, std::string>> tables)
+      : ref_(std::move(ref)), tables_(std::move(tables)) {}
+
+  /// The ref as the consumer named it (used in error messages).
+  const std::string& ref() const { return ref_; }
+  /// The full table map, or the error resolving the ref.
+  const Result<std::map<std::string, std::string>>& tables() const {
+    return tables_;
+  }
+
+  /// Metadata key of one table; NotFound when absent, or the error
+  /// resolving the ref.
+  Result<std::string> GetTable(const std::string& table_name) const;
+
+ private:
+  std::string ref_;
+  Result<std::map<std::string, std::string>> tables_;
+};
+
 /// Git-for-data catalog (the Nessie stand-in): an append-only commit DAG in
 /// object storage plus mutable branch/tag references. All reads are by
 /// ref (branch name, tag name, or commit id), which is what makes
@@ -61,6 +87,10 @@ class Catalog {
 
   bool HasBranch(const std::string& name) const;
 
+  /// Head commit of branch `name`; NotFound when there is no such
+  /// branch. Unlike HasBranch, store errors come back as they are.
+  Result<std::string> BranchHead(const std::string& name) const;
+
   /// Resolves a branch name, tag name, or literal commit id to a commit id.
   Result<std::string> ResolveRef(const std::string& ref) const;
 
@@ -71,6 +101,9 @@ class Catalog {
 
   // -- history --------------------------------------------------------
 
+  /// The commit stored under `commit_id`. Fails when the stored object
+  /// does not hash to that id, so a corrupt or swapped object is never
+  /// served (or followed) as the requested commit.
   Result<Commit> GetCommit(const std::string& commit_id) const;
 
   /// Commits on the first-parent chain from `ref` back to the root,
@@ -88,6 +121,9 @@ class Catalog {
   Result<std::string> GetTable(const std::string& ref,
                                const std::string& table_name) const;
 
+  /// The table map at `ref`, read once for many lookups.
+  PinnedTables Pin(const std::string& ref) const;
+
   // -- writes ---------------------------------------------------------
 
   /// Applies `changes` on top of `branch`, creating a new commit and
@@ -102,6 +138,8 @@ class Catalog {
   /// Merges `from_ref` into `to_branch`. Fast-forwards when possible;
   /// otherwise three-way merges against the common ancestor and fails
   /// with Conflict when both sides changed the same table differently.
+  /// A fast-forward reads only the commits `from_ref` adds, so its cost
+  /// does not grow with the target's history.
   Result<MergeResult> Merge(const std::string& from_ref,
                             const std::string& to_branch,
                             const std::string& author);
@@ -124,14 +162,6 @@ class Catalog {
                   const std::string& commit_id);
 
   Result<std::string> WriteCommit(Commit commit);
-
-  /// First common ancestor of two commits on first-parent chains.
-  Result<std::string> CommonAncestor(const std::string& a,
-                                     const std::string& b) const;
-
-  /// True when `ancestor` is on the first-parent chain of `descendant`.
-  Result<bool> IsAncestor(const std::string& ancestor,
-                          const std::string& descendant) const;
 
   storage::ObjectStore* store_;
   Clock* clock_;

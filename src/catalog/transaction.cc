@@ -9,10 +9,9 @@ Result<TransactionResult> RunTransformAuditWrite(
     Catalog* catalog, const std::string& base_branch,
     const std::string& author,
     const std::function<Status(Catalog*, const std::string&)>& body) {
-  if (!catalog->HasBranch(base_branch)) {
-    return Status::NotFound(
-        StrCat("no branch named '", base_branch, "'"));
-  }
+  // A store error reading the ref is reported as itself, not as a
+  // missing branch.
+  BAUPLAN_RETURN_NOT_OK(catalog->BranchHead(base_branch).status());
   BAUPLAN_ASSIGN_OR_RETURN(
       std::string run_branch,
       catalog->CreateEphemeralBranch(base_branch, "run"));

@@ -249,11 +249,12 @@ Result<std::vector<catalog::Commit>> Bauplan::Log(const std::string& ref,
 Result<analysis::AnalysisResult> Bauplan::Check(
     const pipeline::PipelineProject& project, const catalog::RefSpec& ref) {
   BAUPLAN_ASSIGN_OR_RETURN(std::string commit_id, catalog_->Resolve(ref));
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables, catalog_->GetTables(commit_id));
+  catalog::PinnedTables pinned = catalog_->Pin(commit_id);
+  BAUPLAN_RETURN_NOT_OK(pinned.tables().status());
   std::set<std::string> known;
-  for (const auto& [name, key] : tables) known.insert(name);
+  for (const auto& [name, key] : *pinned.tables()) known.insert(name);
   // Schemas resolve at the pinned commit, exactly as a run's scans would.
-  LakehouseSource source(catalog_.get(), table_ops_.get(), commit_id);
+  LakehouseSource source(table_ops_.get(), std::move(pinned));
   analysis::Analyzer analyzer(std::move(known), &source);
   analysis::AnalyzerOptions opts;
   opts.tracer = tracer_.get();

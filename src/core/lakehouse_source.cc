@@ -2,12 +2,18 @@
 
 namespace bauplan::core {
 
+Result<std::string> LakehouseSource::MetadataKey(
+    const std::string& table_name) const {
+  if (!pinned_.has_value()) pinned_ = catalog_->Pin(ref_);
+  return pinned_->GetTable(table_name);
+}
+
 Result<columnar::Schema> LakehouseSource::GetTableSchema(
     const std::string& table_name) const {
   auto overlay_it = overlay_.find(table_name);
   if (overlay_it != overlay_.end()) return overlay_it->second.schema();
   BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                           catalog_->GetTable(ref_, table_name));
+                           MetadataKey(table_name));
   BAUPLAN_ASSIGN_OR_RETURN(table::TableMetadata metadata,
                            ops_->LoadMetadata(metadata_key));
   return metadata.schema;
@@ -22,8 +28,7 @@ Result<columnar::Table> LakehouseSource::ScanTable(
     if (columns.empty()) return overlay_it->second;
     return overlay_it->second.SelectColumns(columns);
   }
-  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                           catalog_->GetTable(ref_, name));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key, MetadataKey(name));
   table::ScanOptions options;
   options.columns = columns;
   options.predicates = predicates;

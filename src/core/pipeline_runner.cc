@@ -28,7 +28,7 @@ namespace internal {
 /// `mu` serializes body writes when nodes run on a wavefront.
 struct NaiveRunContext {
   const Dag* dag = nullptr;
-  std::string ref;
+  const catalog::PinnedTables* tables = nullptr;  // the run's input commit
   std::set<std::string> selected_set;
   sql::ExecOptions exec;  // execution knobs for every SQL node body
   RunReport* report = nullptr;
@@ -59,10 +59,6 @@ std::string SpillKey(const std::string& node) {
   return StrCat("spill/", node, ".tbl");
 }
 
-/// Serialized-footprint estimate of a materialized catalog table:
-/// records times an ~8-bytes-per-value row width. Used to size functions
-/// reading replayed upstreams, where the exact spill size is unknown but
-/// the row count is right in the table metadata.
 /// Does any *selected* node read `name`'s output? When nothing selected
 /// consumes it, a cache hit needs no spill-store materialization — the
 /// table only has to reach the run's artifact map.
@@ -78,11 +74,14 @@ bool HasSelectedConsumer(const Dag& dag,
   return false;
 }
 
-int64_t EstimateCatalogArtifactBytes(const catalog::Catalog* catalog,
+/// Serialized-footprint estimate of a materialized catalog table:
+/// records times an ~8-bytes-per-value row width. Used to size functions
+/// reading replayed upstreams, where the exact spill size is unknown but
+/// the row count is right in the table metadata.
+int64_t EstimateCatalogArtifactBytes(const catalog::PinnedTables& tables,
                                      const table::TableOps* ops,
-                                     const std::string& ref,
                                      const std::string& table_name) {
-  auto metadata_key = catalog->GetTable(ref, table_name);
+  auto metadata_key = tables.GetTable(table_name);
   if (!metadata_key.ok()) return 0;
   auto metadata = ops->LoadMetadata(*metadata_key);
   if (!metadata.ok()) return 0;
@@ -120,6 +119,7 @@ Result<RunReport> PipelineRunner::Execute(
     }
   }
   spill_store_->ResetMetrics();
+  const catalog::PinnedTables tables = catalog_->Pin(ref);
 
   // Cache keys are derived once per run, before any dispatch: execution
   // knobs are absent from them by design, so the same map serves every
@@ -134,8 +134,7 @@ Result<RunReport> PipelineRunner::Execute(
   if (cache_on) {
     std::vector<std::string> all = SelectOrAll(dag, options.selected);
     keys = cache::ComputeNodeFingerprints(
-        dag, std::set<std::string>(all.begin(), all.end()), catalog_,
-        ref);
+        dag, std::set<std::string>(all.begin(), all.end()), tables);
   }
   const cache::NodeFingerprints* keys_ptr = cache_on ? &keys : nullptr;
 
@@ -154,15 +153,15 @@ Result<RunReport> PipelineRunner::Execute(
 
   Result<RunReport> result =
       options.fused
-          ? ExecuteFused(dag, ref, SelectOrAll(dag, options.selected),
+          ? ExecuteFused(dag, tables, SelectOrAll(dag, options.selected),
                          options.exec, options.trim_unused_columns,
                          keys_ptr, run_span)
           : (options.parallelism > 1
-                 ? ExecuteParallelNaive(dag, ref,
+                 ? ExecuteParallelNaive(dag, tables,
                                         SelectOrAll(dag, options.selected),
                                         options.exec, options.parallelism,
                                         keys_ptr, run_span)
-                 : ExecuteNaive(dag, ref,
+                 : ExecuteNaive(dag, tables,
                                 SelectOrAll(dag, options.selected),
                                 options.exec, keys_ptr, run_span));
 
@@ -185,7 +184,7 @@ Result<RunReport> PipelineRunner::Execute(
 // --------------------------------------------------------------- fused
 
 Result<RunReport> PipelineRunner::ExecuteFused(
-    const Dag& dag, const std::string& ref,
+    const Dag& dag, const catalog::PinnedTables& tables,
     const std::vector<std::string>& selected,
     const sql::ExecOptions& exec, bool trim_unused_columns,
     const cache::NodeFingerprints* keys, uint64_t run_span) {
@@ -209,7 +208,7 @@ Result<RunReport> PipelineRunner::ExecuteFused(
                             node.name, node.code, node.requirements);
       if (!st.ok()) return st;
     }
-    LakehouseSource schemas(catalog_, ops_, ref);
+    LakehouseSource schemas(ops_, tables);
     required_columns =
         analysis::BuildLineage(lineage_project, schemas)
             .RequiredOutputColumns();
@@ -247,7 +246,7 @@ Result<RunReport> PipelineRunner::ExecuteFused(
   request.body = [&]() -> Status {
     // All intermediates live in the source overlay; the engine pushes
     // WHERE filters and projections into the lakehouse scans.
-    LakehouseSource source(catalog_, ops_, ref);
+    LakehouseSource source(ops_, tables);
     for (const auto& name : dag.execution_order()) {
       if (selected_set.count(name) == 0) continue;
       const PipelineNode& node = *dag.GetNode(name).node;
@@ -369,7 +368,7 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
       auto it = ctx.artifact_bytes.find(up);
       int64_t bytes = it != ctx.artifact_bytes.end() ? it->second : 0;
       if (it == ctx.artifact_bytes.end() && !up_selected) {
-        bytes = EstimateCatalogArtifactBytes(catalog_, ops_, ctx.ref, up);
+        bytes = EstimateCatalogArtifactBytes(*ctx.tables, ops_, up);
         ctx.artifact_bytes[up] = bytes;
       }
       input_bytes += bytes;
@@ -393,7 +392,7 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
       ScopedSpan scan_span(tracer_, table_name,
                            observability::span_kind::kScan, node_span);
       BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                               catalog_->GetTable(ctx.ref, table_name));
+                               ctx.tables->GetTable(table_name));
       BAUPLAN_ASSIGN_OR_RETURN(Table table,
                                ops_->ScanTable(metadata_key));
       inputs.AddTable(table_name, std::move(table));
@@ -414,7 +413,7 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
         ScopedSpan scan_span(tracer_, up,
                              observability::span_kind::kScan, node_span);
         BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                                 catalog_->GetTable(ctx.ref, up));
+                                 ctx.tables->GetTable(up));
         BAUPLAN_ASSIGN_OR_RETURN(Table table,
                                  ops_->ScanTable(metadata_key));
         inputs.AddTable(up, std::move(table));
@@ -550,7 +549,7 @@ void PipelineRunner::InsertFreshArtifacts(
 }
 
 Result<RunReport> PipelineRunner::ExecuteNaive(
-    const Dag& dag, const std::string& ref,
+    const Dag& dag, const catalog::PinnedTables& tables,
     const std::vector<std::string>& selected,
     const sql::ExecOptions& exec, const cache::NodeFingerprints* keys,
     uint64_t run_span) {
@@ -559,7 +558,7 @@ Result<RunReport> PipelineRunner::ExecuteNaive(
 
   internal::NaiveRunContext ctx;
   ctx.dag = &dag;
-  ctx.ref = ref;
+  ctx.tables = &tables;
   ctx.selected_set = std::set<std::string>(selected.begin(),
                                            selected.end());
   ctx.exec = exec;
@@ -606,7 +605,7 @@ Result<RunReport> PipelineRunner::ExecuteNaive(
 }
 
 Result<RunReport> PipelineRunner::ExecuteParallelNaive(
-    const Dag& dag, const std::string& ref,
+    const Dag& dag, const catalog::PinnedTables& tables,
     const std::vector<std::string>& selected,
     const sql::ExecOptions& exec, int parallelism,
     const cache::NodeFingerprints* keys, uint64_t run_span) {
@@ -615,7 +614,7 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
 
   internal::NaiveRunContext ctx;
   ctx.dag = &dag;
-  ctx.ref = ref;
+  ctx.tables = &tables;
   ctx.selected_set = std::set<std::string>(selected.begin(),
                                            selected.end());
   ctx.exec = exec;

@@ -100,21 +100,23 @@ class PipelineRunner {
 
   /// Runs `dag` reading source tables at `ref`. Expectation failures are
   /// reported in the result (not as an error Status); infrastructure
-  /// failures are errors.
+  /// failures are errors. `ref` is resolved once, before any dispatch:
+  /// cache keys, function sizing and node bodies all read that one table
+  /// map, so no node body touches the catalog.
   Result<RunReport> Execute(const pipeline::Dag& dag,
                             const std::string& ref,
                             const PipelineRunOptions& options);
 
  private:
   Result<RunReport> ExecuteFused(const pipeline::Dag& dag,
-                                 const std::string& ref,
+                                 const catalog::PinnedTables& tables,
                                  const std::vector<std::string>& selected,
                                  const sql::ExecOptions& exec,
                                  bool trim_unused_columns,
                                  const cache::NodeFingerprints* keys,
                                  uint64_t run_span);
   Result<RunReport> ExecuteNaive(const pipeline::Dag& dag,
-                                 const std::string& ref,
+                                 const catalog::PinnedTables& tables,
                                  const std::vector<std::string>& selected,
                                  const sql::ExecOptions& exec,
                                  const cache::NodeFingerprints* keys,
@@ -124,7 +126,7 @@ class PipelineRunner {
   /// expectation outcomes and spill metrics as the sequential walk (the
   /// bodies are identical; only the schedule differs).
   Result<RunReport> ExecuteParallelNaive(
-      const pipeline::Dag& dag, const std::string& ref,
+      const pipeline::Dag& dag, const catalog::PinnedTables& tables,
       const std::vector<std::string>& selected,
       const sql::ExecOptions& exec, int parallelism,
       const cache::NodeFingerprints* keys, uint64_t run_span);

@@ -96,6 +96,13 @@ struct BatteryCase {
   bool expect_hits;  // budget large enough to actually serve
 };
 
+// ctest names each case after gtest's print of its parameter, and the
+// default print of a struct is its raw bytes, padding included, which
+// differ from build to build.
+void PrintTo(const BatteryCase& c, std::ostream* os) {
+  *os << "parallel" << c.parallelism << "_budget" << c.budget;
+}
+
 class CacheBitIdentityTest : public ::testing::TestWithParam<BatteryCase> {};
 
 TEST_P(CacheBitIdentityTest, WarmRunMatchesCold) {

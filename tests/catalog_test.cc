@@ -5,6 +5,7 @@
 #include "catalog/catalog.h"
 #include "catalog/transaction.h"
 #include "common/clock.h"
+#include "storage/fault_injection_store.h"
 #include "storage/object_store.h"
 
 namespace bauplan::catalog {
@@ -156,6 +157,25 @@ TEST_F(CatalogTest, MergeAlreadyMergedIsNoop) {
   EXPECT_EQ(merged->commit_id, *head);
 }
 
+TEST_F(CatalogTest, MergeSourceBehindTargetIsNoop) {
+  ASSERT_TRUE(Commit("main", "taxi", "meta/v1").ok());
+  ASSERT_TRUE(catalog_->CreateBranch("feat", "main").ok());
+  ASSERT_TRUE(Commit("main", "taxi", "meta/v2").ok());
+  ASSERT_TRUE(Commit("main", "zones", "zones/v1").ok());
+  auto head = catalog_->ResolveRef("main");
+  ASSERT_TRUE(head.ok());
+  size_t objects_before = store_.object_count();
+
+  auto merged = catalog_->Merge("feat", "main", "tester");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(merged->fast_forward);
+  EXPECT_EQ(merged->commit_id, *head);
+  // Nothing written: no merge commit, main unmoved.
+  EXPECT_EQ(store_.object_count(), objects_before);
+  EXPECT_EQ(*catalog_->ResolveRef("main"), *head);
+  EXPECT_EQ(*catalog_->GetTable("main", "taxi"), "meta/v2");
+}
+
 TEST_F(CatalogTest, ThreeWayMergeDisjointChanges) {
   ASSERT_TRUE(Commit("main", "base_table", "base/v1").ok());
   ASSERT_TRUE(catalog_->CreateBranch("feat", "main").ok());
@@ -253,6 +273,68 @@ TEST_F(CatalogTest, TransformAuditWriteOnMissingBranchFails) {
   EXPECT_TRUE(result.status().IsNotFound());
 }
 
+TEST_F(CatalogTest, TransformAuditWriteReportsStoreErrorsAsThemselves) {
+  storage::FaultInjectionStore faulty(&store_);
+  auto opened = Catalog::Open(&faulty, &clock_);
+  ASSERT_TRUE(opened.ok());
+  faulty.FailOnlyPrefix("catalog/refs/");
+  faulty.FailAfter(0);
+  bool body_ran = false;
+  auto result = RunTransformAuditWrite(
+      &*opened, "main", "tester",
+      [&body_ran](Catalog*, const std::string&) {
+        body_ran = true;
+        return Status::OK();
+      });
+  ASSERT_FALSE(result.ok());
+  // A transient store error is not "no branch named main".
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  EXPECT_FALSE(body_ran);
+}
+
+TEST_F(CatalogTest, BranchHeadPropagatesStoreErrors) {
+  storage::FaultInjectionStore faulty(&store_);
+  auto opened = Catalog::Open(&faulty, &clock_);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened->BranchHead("main"), *catalog_->ResolveRef("main"));
+  EXPECT_TRUE(opened->BranchHead("nope").status().IsNotFound());
+  faulty.FailAfter(0);
+  EXPECT_TRUE(opened->BranchHead("main").status().IsIOError());
+}
+
+TEST_F(CatalogTest, GetCommitRejectsObjectNotMatchingItsId) {
+  auto c1 = Commit("main", "t", "k1");
+  auto c2 = Commit("main", "t", "k2");
+  ASSERT_TRUE(c1.ok());
+  ASSERT_TRUE(c2.ok());
+  // Swap c1's bytes in under c2's id: the object parses, but it is not
+  // the commit that id names.
+  auto c1_bytes = store_.Get("catalog/commits/" + *c1);
+  ASSERT_TRUE(c1_bytes.ok());
+  ASSERT_TRUE(store_.Put("catalog/commits/" + *c2, *c1_bytes).ok());
+  auto swapped = catalog_->GetCommit(*c2);
+  ASSERT_FALSE(swapped.ok());
+  EXPECT_TRUE(swapped.status().IsIOError()) << swapped.status().ToString();
+  // History walks stop at the bad object instead of following it.
+  EXPECT_FALSE(catalog_->Log("main").ok());
+  EXPECT_FALSE(catalog_->GetTables("main").ok());
+  // The untouched commit still reads.
+  EXPECT_TRUE(catalog_->GetCommit(*c1).ok());
+
+  // A tampered field (same key, edited content) is caught the same way.
+  auto edited = catalog_->GetCommit(*c1);
+  ASSERT_TRUE(edited.ok());
+  edited->tables["t"] = "evil";
+  ASSERT_TRUE(
+      store_.Put("catalog/commits/" + *c1, edited->Serialize()).ok());
+  EXPECT_TRUE(catalog_->GetCommit(*c1).status().IsIOError());
+}
+
+TEST_F(CatalogTest, GetCommitMissingIsNotFound) {
+  EXPECT_TRUE(
+      catalog_->GetCommit("0000000000000000").status().IsNotFound());
+}
+
 TEST_F(CatalogTest, CommitTimestampsComeFromClock) {
   clock_.AdvanceMicros(5000);
   auto c = Commit("main", "t", "k");
@@ -271,6 +353,73 @@ TEST_F(CatalogTest, LogLimit) {
   EXPECT_EQ(log->size(), 3u);
 }
 
+// ------------------------------------------------ merge cost vs history
+
+/// Counts reads of commit objects; everything else passes through.
+class CommitReadCounter : public storage::ObjectStore {
+ public:
+  explicit CommitReadCounter(storage::ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, Bytes data) override {
+    return base_->Put(key, std::move(data));
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    if (key.rfind("catalog/commits/", 0) == 0) ++commit_gets_;
+    return base_->Get(key);
+  }
+  Result<uint64_t> Head(const std::string& key) const override {
+    return base_->Head(key);
+  }
+  Status Delete(const std::string& key) override {
+    return base_->Delete(key);
+  }
+  Result<std::vector<storage::ObjectMeta>> List(
+      const std::string& prefix) const override {
+    return base_->List(prefix);
+  }
+
+  int64_t commit_gets() const { return commit_gets_; }
+
+ private:
+  storage::ObjectStore* base_;
+  mutable int64_t commit_gets_ = 0;
+};
+
+/// Commit reads of fast-forwarding a 3-commit branch onto a main with
+/// `prior` commits of history (besides the root).
+int64_t FastForwardCommitReads(int prior) {
+  storage::MemoryObjectStore backing;
+  CommitReadCounter store(&backing);
+  SimClock clock(1000);
+  auto catalog = Catalog::Open(&store, &clock);
+  EXPECT_TRUE(catalog.ok());
+  for (int i = 0; i < prior; ++i) {
+    TableChanges changes;
+    changes.puts["history"] = "history/v" + std::to_string(i);
+    EXPECT_TRUE(
+        catalog->CommitChanges("main", "history", "tester", changes).ok());
+  }
+  EXPECT_TRUE(catalog->CreateBranch("run_1", "main").ok());
+  for (int i = 0; i < 3; ++i) {
+    TableChanges changes;
+    changes.puts["artifact_" + std::to_string(i)] = "artifact/v1";
+    EXPECT_TRUE(
+        catalog->CommitChanges("run_1", "artifact", "tester", changes).ok());
+  }
+  int64_t before = store.commit_gets();
+  auto merged = catalog->Merge("run_1", "main", "tester");
+  EXPECT_TRUE(merged.ok());
+  EXPECT_TRUE(merged.ok() && merged->fast_forward);
+  EXPECT_EQ(*catalog->GetTable("main", "artifact_2"), "artifact/v1");
+  return store.commit_gets() - before;
+}
+
+TEST(CatalogMergeCostTest, FastForwardReadsOnlyTheNewCommits) {
+  int64_t short_history = FastForwardCommitReads(5);
+  int64_t long_history = FastForwardCommitReads(500);
+  EXPECT_EQ(short_history, long_history);
+  EXPECT_LE(long_history, 4);
+}
 
 // ---------------------------------------------------------------- RefSpec
 

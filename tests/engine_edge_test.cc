@@ -182,5 +182,103 @@ TEST_F(LakehouseSourceTest, UnknownRefErrors) {
   EXPECT_FALSE(source.ScanTable("taxi_table", {}, {}).ok());
 }
 
+/// Counts GETs of catalog objects (refs and commits); passes all
+/// requests through to the wrapped store.
+class CatalogGetCounter : public storage::ObjectStore {
+ public:
+  explicit CatalogGetCounter(storage::ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, Bytes data) override {
+    return base_->Put(key, std::move(data));
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    if (key.rfind("catalog/", 0) == 0) ++catalog_gets_;
+    return base_->Get(key);
+  }
+  Result<uint64_t> Head(const std::string& key) const override {
+    return base_->Head(key);
+  }
+  Status Delete(const std::string& key) override {
+    return base_->Delete(key);
+  }
+  Result<std::vector<storage::ObjectMeta>> List(
+      const std::string& prefix) const override {
+    return base_->List(prefix);
+  }
+
+  int64_t catalog_gets() const { return catalog_gets_; }
+
+ private:
+  storage::ObjectStore* base_;
+  mutable int64_t catalog_gets_ = 0;
+};
+
+TEST_F(LakehouseSourceTest, ManyLookupsCostOneResolution) {
+  CatalogGetCounter counted(&store_);
+  auto catalog = catalog::Catalog::Open(&counted, &clock_);
+  ASSERT_TRUE(catalog.ok());
+  // One resolution of a branch: its ref plus its commit.
+  int64_t before = counted.catalog_gets();
+  ASSERT_TRUE(catalog->GetTables("main").ok());
+  const int64_t one_resolution = counted.catalog_gets() - before;
+  EXPECT_EQ(one_resolution, 2);
+
+  before = counted.catalog_gets();
+  core::LakehouseSource source(&*catalog, &ops_, "main");
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(source.GetTableSchema("taxi_table").ok());
+    ASSERT_TRUE(source.ScanTable("taxi_table", {"fare"}, {}).ok());
+  }
+  EXPECT_EQ(counted.catalog_gets() - before, one_resolution);
+}
+
+TEST_F(LakehouseSourceTest, SourceKeepsReadingItsFirstSnapshot) {
+  core::LakehouseSource source(catalog_.get(), &ops_, "main");
+  ASSERT_TRUE(source.GetTableSchema("taxi_table").ok());
+
+  // Advance main: taxi_table now points at a one-column, one-row table.
+  Int64Builder n;
+  n.Append(7);
+  auto replacement =
+      *Table::Make(Schema({{"n", TypeId::kInt64, false}}), {n.Finish()});
+  std::string key =
+      *ops_.CreateTable("taxi_table_replacement", replacement.schema());
+  key = *ops_.Append(key, replacement);
+  catalog::TableChanges changes;
+  changes.puts["taxi_table"] = key;
+  ASSERT_TRUE(catalog_->CommitChanges("main", "replace", "t", changes).ok());
+
+  // The source still reads the commit it pinned on its first lookup.
+  auto schema = source.GetTableSchema("taxi_table");
+  ASSERT_TRUE(schema.ok());
+  EXPECT_TRUE(schema->HasField("fare"));
+  auto table = source.ScanTable("taxi_table", {}, {});
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->num_rows(), 500);
+
+  // A new source sees the advanced branch.
+  core::LakehouseSource fresh(catalog_.get(), &ops_, "main");
+  auto fresh_table = fresh.ScanTable("taxi_table", {}, {});
+  ASSERT_TRUE(fresh_table.ok());
+  EXPECT_EQ(fresh_table->num_rows(), 1);
+}
+
+TEST_F(LakehouseSourceTest, PrePinnedSourceNeverReadsTheCatalog) {
+  CatalogGetCounter counted(&store_);
+  auto catalog = catalog::Catalog::Open(&counted, &clock_);
+  ASSERT_TRUE(catalog.ok());
+  core::LakehouseSource source(&ops_, catalog->Pin("main"));
+  int64_t before = counted.catalog_gets();
+  ASSERT_TRUE(source.GetTableSchema("taxi_table").ok());
+  ASSERT_TRUE(source.ScanTable("taxi_table", {}, {}).ok());
+  EXPECT_TRUE(source.GetTableSchema("nope").status().IsNotFound());
+  EXPECT_EQ(counted.catalog_gets(), before);
+
+  // A pin of an unknown ref carries its error to every lookup.
+  core::LakehouseSource unknown(&ops_, catalog->Pin("no_such_branch"));
+  EXPECT_TRUE(unknown.GetTableSchema("taxi_table").status().IsNotFound());
+  EXPECT_TRUE(unknown.ScanTable("taxi_table", {}, {}).status().IsNotFound());
+}
+
 }  // namespace
 }  // namespace bauplan
