@@ -1,7 +1,7 @@
 // Section 4.3 (Fig. 4): the transform-audit-write pattern is only viable
 // if git-for-data operations are cheap next to compute. The bench
 // measures the full branch lifecycle (create ephemeral branch, commit
-// artifacts into it, merge back, delete) against catalogs of growing
+// the artifacts into it, merge back, delete) against catalogs of growing
 // size and growing history, on both the simulated S3 clock and real
 // wall time.
 //
@@ -84,27 +84,27 @@ std::optional<CycleCost> MeasureCycle(int tables, int history) {
     }
   }
 
-  // One transform-audit-write cycle: ephemeral branch, two artifact
-  // commits, merge, delete (exactly the Fig. 4 flow).
+  // One transform-audit-write cycle as Bauplan::Run publishes it (the
+  // Fig. 4 flow): ephemeral branch at main's head, one commit holding
+  // both artifacts, merge, delete.
   CycleCost cost;
   uint64_t sim_start = clock.NowMicros();
   uint64_t wall_start = WallMicrosNow();
-  auto run_branch = catalog->CreateEphemeralBranch("main", "run");
+  auto head = catalog->BranchHead("main");
+  if (!head.ok()) return std::nullopt;
+  auto run_branch = catalog->CreateEphemeralBranch(*head, "run");
   if (!run_branch.ok()) return std::nullopt;
-  TableChanges artifact1;
-  artifact1.puts["trips"] = "meta/trips/v1";
+  TableChanges artifacts;
+  artifacts.puts["pickups"] = "meta/pickups/v1";
+  artifacts.puts["trips"] = "meta/trips/v1";
   uint64_t commit_start = clock.NowMicros();
-  if (!catalog->CommitChanges(*run_branch, "trips", "bench", artifact1)
+  if (!catalog
+           ->CommitChanges(*run_branch, "run 1: pickups, trips", "bench",
+                           artifacts, *head)
            .ok()) {
     return std::nullopt;
   }
   cost.sim_commit = clock.NowMicros() - commit_start;
-  TableChanges artifact2;
-  artifact2.puts["pickups"] = "meta/pickups/v1";
-  if (!catalog->CommitChanges(*run_branch, "pickups", "bench", artifact2)
-           .ok()) {
-    return std::nullopt;
-  }
   auto merged = catalog->Merge(*run_branch, "main", "bench");
   if (!merged.ok() || !merged->fast_forward) return std::nullopt;
   if (!catalog->DeleteBranch(*run_branch).ok()) return std::nullopt;

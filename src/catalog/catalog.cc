@@ -23,6 +23,25 @@ Result<Catalog> Catalog::Open(storage::ObjectStore* store, Clock* clock,
   return cat;
 }
 
+bool Catalog::LooksLikeCommitId(const std::string& name) {
+  if (name.size() != 16) return false;
+  for (char c : name) {
+    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
+  }
+  return true;
+}
+
+Status Catalog::ValidateRefName(const std::string& kind,
+                                const std::string& name) {
+  if (name.empty()) return Status::InvalidArgument(StrCat("empty ", kind,
+                                                          " name"));
+  if (LooksLikeCommitId(name)) {
+    return Status::InvalidArgument(StrCat(kind, " name '", name,
+                                          "' has the shape of a commit id"));
+  }
+  return Status::OK();
+}
+
 std::string Catalog::CommitKey(const std::string& id) const {
   return StrCat(prefix_, "/commits/", id);
 }
@@ -58,7 +77,7 @@ Result<std::string> Catalog::WriteCommit(Commit commit) {
 
 Status Catalog::CreateBranch(const std::string& name,
                              const std::string& from_ref) {
-  if (name.empty()) return Status::InvalidArgument("empty branch name");
+  BAUPLAN_RETURN_NOT_OK(ValidateRefName("branch", name));
   BAUPLAN_ASSIGN_OR_RETURN(auto existing, ReadRef("branch", name));
   if (existing.has_value()) {
     return Status::AlreadyExists(StrCat("branch '", name,
@@ -81,7 +100,7 @@ Status Catalog::DeleteBranch(const std::string& name) {
 
 Status Catalog::CreateTag(const std::string& name,
                           const std::string& from_ref) {
-  if (name.empty()) return Status::InvalidArgument("empty tag name");
+  BAUPLAN_RETURN_NOT_OK(ValidateRefName("tag", name));
   BAUPLAN_ASSIGN_OR_RETURN(auto existing, ReadRef("tag", name));
   if (existing.has_value()) {
     return Status::AlreadyExists(StrCat("tag '", name, "' already exists"));
@@ -114,12 +133,17 @@ Result<std::string> Catalog::BranchHead(const std::string& name) const {
 }
 
 Result<std::string> Catalog::ResolveRef(const std::string& ref) const {
-  BAUPLAN_ASSIGN_OR_RETURN(auto branch, ReadRef("branch", ref));
-  if (branch.has_value()) return *branch;
-  BAUPLAN_ASSIGN_OR_RETURN(auto tag, ReadRef("tag", ref));
-  if (tag.has_value()) return *tag;
-  // Literal commit id.
-  if (store_->Exists(CommitKey(ref))) return ref;
+  if (LooksLikeCommitId(ref)) {
+    // No branch or tag has this shape, so only the commit can match.
+    auto commit = GetCommit(ref);
+    if (commit.ok()) return ref;
+    if (!commit.status().IsNotFound()) return commit.status();
+  } else {
+    BAUPLAN_ASSIGN_OR_RETURN(auto branch, ReadRef("branch", ref));
+    if (branch.has_value()) return *branch;
+    BAUPLAN_ASSIGN_OR_RETURN(auto tag, ReadRef("tag", ref));
+    if (tag.has_value()) return *tag;
+  }
   return Status::NotFound(
       StrCat("'", ref, "' is not a branch, tag, or commit id"));
 }
@@ -172,9 +196,7 @@ Result<std::vector<Commit>> Catalog::Log(const std::string& ref,
 
 Result<std::map<std::string, std::string>> Catalog::GetTables(
     const std::string& ref) const {
-  BAUPLAN_ASSIGN_OR_RETURN(std::string id, ResolveRef(ref));
-  BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-  return c.tables;
+  return Pin(ref).tables();
 }
 
 Result<std::string> Catalog::GetTable(const std::string& ref,
@@ -182,8 +204,22 @@ Result<std::string> Catalog::GetTable(const std::string& ref,
   return Pin(ref).GetTable(table_name);
 }
 
-PinnedTables Catalog::Pin(const std::string& ref) const {
-  return PinnedTables(ref, GetTables(ref));
+PinnedTables Catalog::Pin(const RefSpec& spec) const {
+  if (spec.ok() && !spec.has_timestamp() && LooksLikeCommitId(spec.name())) {
+    // A commit id needs no resolution step: its one read is the pin.
+    return PinCommit(spec.name());
+  }
+  auto id = Resolve(spec);
+  if (!id.ok()) return PinnedTables(spec.ToString(), id.status());
+  return PinCommit(*id, spec.ToString());
+}
+
+PinnedTables Catalog::PinCommit(const std::string& commit_id,
+                                std::string ref) const {
+  if (ref.empty()) ref = commit_id;
+  auto commit = GetCommit(commit_id);
+  if (!commit.ok()) return PinnedTables(std::move(ref), commit.status());
+  return PinnedTables(std::move(ref), commit_id, std::move(commit->tables));
 }
 
 Result<std::string> PinnedTables::GetTable(
@@ -314,12 +350,13 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
 }
 
 Result<std::string> Catalog::CreateEphemeralBranch(
-    const std::string& from_ref, const std::string& prefix) {
+    const std::string& commit_id, const std::string& prefix) {
   for (int attempt = 0; attempt < 1000; ++attempt) {
     std::string name = StrCat(prefix, "_", ++ephemeral_counter_);
-    Status st = CreateBranch(name, from_ref);
-    if (st.ok()) return name;
-    if (!st.IsAlreadyExists()) return st;
+    BAUPLAN_ASSIGN_OR_RETURN(auto existing, ReadRef("branch", name));
+    if (existing.has_value()) continue;
+    BAUPLAN_RETURN_NOT_OK(WriteRef("branch", name, commit_id));
+    return name;
   }
   return Status::Internal("could not allocate an ephemeral branch name");
 }

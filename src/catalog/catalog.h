@@ -28,18 +28,26 @@ struct MergeResult {
   bool fast_forward = false;
 };
 
-/// One ref's table map, read once. A consumer that looks up several
+/// One commit's table map, read once. A consumer that looks up several
 /// tables (a query, a run, a check) pins one, so every lookup sees the
 /// same commit and costs no further catalog reads. A failed resolution
 /// is kept and returned by every lookup.
 class PinnedTables {
  public:
-  PinnedTables(std::string ref,
+  PinnedTables(std::string ref, std::string commit_id,
                Result<std::map<std::string, std::string>> tables)
-      : ref_(std::move(ref)), tables_(std::move(tables)) {}
+      : ref_(std::move(ref)),
+        commit_id_(std::move(commit_id)),
+        tables_(std::move(tables)) {}
+
+  /// A failed resolution of `ref`.
+  PinnedTables(std::string ref, Status error)
+      : ref_(std::move(ref)), tables_(std::move(error)) {}
 
   /// The ref as the consumer named it (used in error messages).
   const std::string& ref() const { return ref_; }
+  /// The commit the map was read from; empty when resolution failed.
+  const std::string& commit_id() const { return commit_id_; }
   /// The full table map, or the error resolving the ref.
   const Result<std::map<std::string, std::string>>& tables() const {
     return tables_;
@@ -51,13 +59,17 @@ class PinnedTables {
 
  private:
   std::string ref_;
+  std::string commit_id_;
   Result<std::map<std::string, std::string>> tables_;
 };
 
 /// Git-for-data catalog (the Nessie stand-in): an append-only commit DAG in
 /// object storage plus mutable branch/tag references. All reads are by
 /// ref (branch name, tag name, or commit id), which is what makes
-/// `bauplan query -b feat_1` and time travel work.
+/// `bauplan query -b feat_1` and time travel work. A commit id is told
+/// apart from a name by its shape (LooksLikeCommitId), which branch and
+/// tag names may not have, so resolving one reads the commit object and
+/// never probes refs.
 ///
 /// Commit concurrency follows compare-and-swap semantics: a commit states
 /// the head it was computed against and fails with Conflict if the branch
@@ -71,15 +83,21 @@ class Catalog {
   static Result<Catalog> Open(storage::ObjectStore* store, Clock* clock,
                               std::string prefix = "catalog");
 
+  /// True when `name` has the shape of a commit id: 16 lowercase hex
+  /// digits, as Commit::ComputeId produces.
+  static bool LooksLikeCommitId(const std::string& name);
+
   // -- refs -----------------------------------------------------------
 
-  /// Creates branch `name` at the commit `from_ref` resolves to.
+  /// Creates branch `name` at the commit `from_ref` resolves to. Names
+  /// shaped like a commit id are rejected (InvalidArgument).
   Status CreateBranch(const std::string& name, const std::string& from_ref);
 
   /// Deletes a branch; main cannot be deleted.
   Status DeleteBranch(const std::string& name);
 
-  /// Creates an immutable tag at the commit `from_ref` resolves to.
+  /// Creates an immutable tag at the commit `from_ref` resolves to; the
+  /// same naming rule as CreateBranch.
   Status CreateTag(const std::string& name, const std::string& from_ref);
 
   /// All branch names, sorted.
@@ -92,6 +110,8 @@ class Catalog {
   Result<std::string> BranchHead(const std::string& name) const;
 
   /// Resolves a branch name, tag name, or literal commit id to a commit id.
+  /// A commit id costs one commit read (it is checked to exist) and no
+  /// ref probes; a name costs one ref read per kind tried (branch, tag).
   Result<std::string> ResolveRef(const std::string& ref) const;
 
   /// Resolves a parsed refspec. Without a timestamp this is ResolveRef;
@@ -121,8 +141,15 @@ class Catalog {
   Result<std::string> GetTable(const std::string& ref,
                                const std::string& table_name) const;
 
-  /// The table map at `ref`, read once for many lookups.
-  PinnedTables Pin(const std::string& ref) const;
+  /// The table map at `spec` (branch, tag, commit id, or as-of), read
+  /// once for many lookups. A commit id costs exactly one commit read.
+  PinnedTables Pin(const RefSpec& spec) const;
+
+  /// The table map of `commit_id`, which the caller already resolved:
+  /// one commit read, no ref probes. `ref` names the pin in error
+  /// messages (empty = the commit id).
+  PinnedTables PinCommit(const std::string& commit_id,
+                         std::string ref = "") const;
 
   // -- writes ---------------------------------------------------------
 
@@ -144,9 +171,10 @@ class Catalog {
                             const std::string& to_branch,
                             const std::string& author);
 
-  /// Creates a uniquely-named ephemeral branch "<prefix>_<n>" off
-  /// `from_ref` and returns its name (paper's run_12 branches, Fig. 4).
-  Result<std::string> CreateEphemeralBranch(const std::string& from_ref,
+  /// Creates a uniquely-named ephemeral branch "<prefix>_<n>" at
+  /// `commit_id` and returns its name (paper's run_12 branches, Fig. 4).
+  /// The commit is not re-read: callers pass one they already hold.
+  Result<std::string> CreateEphemeralBranch(const std::string& commit_id,
                                             const std::string& prefix);
 
  private:
@@ -160,6 +188,10 @@ class Catalog {
                                              const std::string& name) const;
   Status WriteRef(const std::string& kind, const std::string& name,
                   const std::string& commit_id);
+  /// Rejects names no branch or tag may have: empty, or shaped like a
+  /// commit id (which would shadow the commit in resolution).
+  static Status ValidateRefName(const std::string& kind,
+                                const std::string& name);
 
   Result<std::string> WriteCommit(Commit commit);
 

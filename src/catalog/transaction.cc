@@ -11,10 +11,10 @@ Result<TransactionResult> RunTransformAuditWrite(
     const std::function<Status(Catalog*, const std::string&)>& body) {
   // A store error reading the ref is reported as itself, not as a
   // missing branch.
-  BAUPLAN_RETURN_NOT_OK(catalog->BranchHead(base_branch).status());
-  BAUPLAN_ASSIGN_OR_RETURN(
-      std::string run_branch,
-      catalog->CreateEphemeralBranch(base_branch, "run"));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string head,
+                           catalog->BranchHead(base_branch));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string run_branch,
+                           catalog->CreateEphemeralBranch(head, "run"));
 
   Status body_status = body(catalog, run_branch);
   if (!body_status.ok()) {

@@ -288,8 +288,10 @@ void PrintRunReport(const core::RunReport& report) {
     }
     std::printf("\n");
   }
-  std::printf("  total (simulated): %s; spill: %lld puts / %lld gets\n",
+  std::printf("  total (simulated): %s; publish: %s; spill: %lld puts / "
+              "%lld gets\n",
               FormatDurationMicros(report.total_micros).c_str(),
+              FormatDurationMicros(report.publish_micros).c_str(),
               static_cast<long long>(report.spill_metrics.puts),
               static_cast<long long>(report.spill_metrics.gets));
   size_t cached = 0;

@@ -1,8 +1,10 @@
 #include "common/clock.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <thread>
 #include <vector>
 
 namespace bauplan {
@@ -54,6 +56,28 @@ uint64_t ForkableClock::EndFork() {
 }
 
 bool ForkableClock::ForkActive() const { return TopForkOf(this) != nullptr; }
+
+std::vector<uint64_t> ForkableClock::RunForked(
+    const std::vector<uint64_t>& start_micros, int parallelism,
+    const std::function<void(size_t)>& member) {
+  const size_t n = start_micros.size();
+  std::vector<uint64_t> elapsed(n, 0);
+  std::atomic<size_t> next{0};
+  auto drain = [&]() {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      BeginFork(start_micros[i]);
+      member(i);
+      elapsed[i] = EndFork() - start_micros[i];
+    }
+  };
+  size_t threads = std::min<size_t>(
+      static_cast<size_t>(std::max(parallelism, 1)), n);
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (size_t t = 0; t < threads; ++t) pool.emplace_back(drain);
+  for (std::thread& thread : pool) thread.join();
+  return elapsed;
+}
 
 uint64_t WallClock::NowMicros() const {
   auto now = std::chrono::system_clock::now().time_since_epoch();

@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 namespace bauplan {
 
@@ -68,6 +70,17 @@ class ForkableClock : public Clock {
 
   /// True when the calling thread currently runs on a fork of this clock.
   bool ForkActive() const;
+
+  /// Runs member(0) .. member(n-1), n = start_micros.size(), on up to
+  /// `parallelism` threads, member i on its own fork starting at
+  /// start_micros[i], and returns each member's elapsed fork time in
+  /// index order. Like EndFork, it leaves the base clock alone: the
+  /// caller charges what the members cost together (e.g. the longest).
+  /// A member's elapsed time is what it charged itself, so the result
+  /// does not depend on the pool size or on thread timing.
+  std::vector<uint64_t> RunForked(const std::vector<uint64_t>& start_micros,
+                                  int parallelism,
+                                  const std::function<void(size_t)>& member);
 
  private:
   Clock* base_;

@@ -1,5 +1,7 @@
 #include "core/bauplan.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/strings.h"
 #include "core/lakehouse_source.h"
@@ -71,7 +73,7 @@ Result<std::unique_ptr<Bauplan>> Bauplan::Open(
   // the cache is durable state, not a per-process accelerator.
   platform->artifact_cache_->LoadIndex();
   platform->runner_ = std::make_unique<PipelineRunner>(
-      run_clock, platform->catalog_.get(), platform->table_ops_.get(),
+      run_clock, platform->table_ops_.get(),
       platform->executor_.get(), platform->spill_store_.get(),
       platform->tracer_.get(), platform->artifact_cache_.get(),
       platform->metrics_.get());
@@ -126,19 +128,18 @@ Status Bauplan::WriteTable(const std::string& branch,
 Result<columnar::Table> Bauplan::ReadTable(
     const catalog::RefSpec& ref, const std::string& name,
     const table::ScanOptions& options) const {
-  BAUPLAN_ASSIGN_OR_RETURN(std::string commit_id, catalog_->Resolve(ref));
   BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                           catalog_->GetTable(commit_id, name));
+                           catalog_->Pin(ref).GetTable(name));
   return table_ops_->ScanTable(metadata_key, options);
 }
 
 Result<std::vector<std::string>> Bauplan::ListTables(
     const catalog::RefSpec& ref) const {
-  BAUPLAN_ASSIGN_OR_RETURN(std::string commit_id, catalog_->Resolve(ref));
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables, catalog_->GetTables(commit_id));
+  catalog::PinnedTables pinned = catalog_->Pin(ref);
+  BAUPLAN_RETURN_NOT_OK(pinned.tables().status());
   std::vector<std::string> names;
-  names.reserve(tables.size());
-  for (const auto& [name, key] : tables) names.push_back(name);
+  names.reserve(pinned.tables()->size());
+  for (const auto& [name, key] : *pinned.tables()) names.push_back(name);
   return names;
 }
 
@@ -190,11 +191,13 @@ Result<sql::QueryResult> Bauplan::Query(std::string_view sql_text,
       return cached;
     }
   }
-  // Scans read at the pinned commit so an as-of ref sees history; fall
-  // back to the raw name when resolution failed (the scan will surface
-  // the unknown-ref error).
-  LakehouseSource source(catalog_.get(), table_ops_.get(),
-                         commit.ok() ? *commit : ref.name());
+  // Scans read the resolved commit's table map, so an as-of ref sees
+  // history. A failed resolution is kept: the first table lookup
+  // returns it, and a query that names no table still runs.
+  LakehouseSource source(
+      table_ops_.get(),
+      commit.ok() ? catalog_->PinCommit(*commit, ref_text)
+                  : catalog::PinnedTables(ref_text, commit.status()));
   sql::QueryOptions traced = options;
   traced.tracer = tracer_.get();
   traced.parent_span = query_span;
@@ -248,13 +251,18 @@ Result<std::vector<catalog::Commit>> Bauplan::Log(const std::string& ref,
 
 Result<analysis::AnalysisResult> Bauplan::Check(
     const pipeline::PipelineProject& project, const catalog::RefSpec& ref) {
-  BAUPLAN_ASSIGN_OR_RETURN(std::string commit_id, catalog_->Resolve(ref));
-  catalog::PinnedTables pinned = catalog_->Pin(commit_id);
+  catalog::PinnedTables pinned = catalog_->Pin(ref);
   BAUPLAN_RETURN_NOT_OK(pinned.tables().status());
+  return CheckPinned(project, pinned);
+}
+
+analysis::AnalysisResult Bauplan::CheckPinned(
+    const pipeline::PipelineProject& project,
+    const catalog::PinnedTables& pinned) {
   std::set<std::string> known;
   for (const auto& [name, key] : *pinned.tables()) known.insert(name);
   // Schemas resolve at the pinned commit, exactly as a run's scans would.
-  LakehouseSource source(table_ops_.get(), std::move(pinned));
+  LakehouseSource source(table_ops_.get(), pinned);
   analysis::Analyzer analyzer(std::move(known), &source);
   analysis::AnalyzerOptions opts;
   opts.tracer = tracer_.get();
@@ -263,7 +271,7 @@ Result<analysis::AnalysisResult> Bauplan::Check(
   if (result.root_span != 0) {
     result.trace = tracer_->ExtractTrace(result.root_span);
   }
-  Audit("check", ref.ToString(),
+  Audit("check", pinned.ref(),
         StrCat(project.name(), ": ",
                result.diagnostics.error_count(), " error(s), ",
                result.diagnostics.warning_count(), " warning(s)"),
@@ -275,29 +283,86 @@ Result<analysis::AnalysisResult> Bauplan::Check(
 
 // ------------------------------------------------------------------ run
 
-Status Bauplan::MaterializeArtifacts(const RunReport& execution,
-                                     const std::string& target_branch) {
-  for (const auto& [name, data] : execution.artifacts) {
-    bool exists = catalog_->GetTable(target_branch, name).ok();
-    if (!exists) {
-      BAUPLAN_RETURN_NOT_OK(
-          CreateTable(target_branch, name, data.schema()));
-    }
-    BAUPLAN_RETURN_NOT_OK(
-        WriteTable(target_branch, name, data, /*overwrite=*/true));
+namespace {
+
+/// Writes one artifact as a new snapshot of its table, starting from the
+/// table's metadata at the pinned commit (or a fresh table), and returns
+/// the new metadata key. Touches only that table's keys.
+Result<std::string> WriteArtifact(table::TableOps* ops,
+                                  const catalog::PinnedTables& pinned,
+                                  const std::string& name,
+                                  const columnar::Table& data) {
+  auto metadata_key = pinned.GetTable(name);
+  if (metadata_key.status().IsNotFound()) {
+    metadata_key = ops->CreateTable(name, data.schema());
   }
-  return Status::OK();
+  BAUPLAN_RETURN_NOT_OK(metadata_key.status());
+  return ops->Overwrite(*metadata_key, data);
+}
+
+/// Threads of a run's write wave. Simulated time does not depend on it.
+constexpr int kWriteWaveThreads = 4;
+
+}  // namespace
+
+Status Bauplan::MaterializeArtifacts(const RunReport& execution,
+                                     const catalog::PinnedTables& pinned,
+                                     const std::string& run_branch) {
+  if (execution.artifacts.empty()) return Status::OK();
+  std::vector<std::string> names;
+  std::vector<const columnar::Table*> data;
+  for (const auto& [name, table] : execution.artifacts) {
+    names.push_back(name);
+    data.push_back(&table);
+  }
+  std::vector<Result<std::string>> written(
+      names.size(), Status::Internal("artifact not written"));
+  auto write = [&](size_t i) {
+    written[i] = WriteArtifact(table_ops_.get(), pinned, names[i], *data[i]);
+  };
+  if (fork_clock_->ForkActive()) {
+    // Nested inside a forked timeline: write one after another.
+    for (size_t i = 0; i < names.size(); ++i) write(i);
+  } else {
+    // One write wave: every artifact starts at the same instant on its
+    // own fork, and the run waits for the slowest.
+    std::vector<uint64_t> elapsed = fork_clock_->RunForked(
+        std::vector<uint64_t>(names.size(), fork_clock_->NowMicros()),
+        kWriteWaveThreads, write);
+    fork_clock_->AdvanceMicros(
+        *std::max_element(elapsed.begin(), elapsed.end()));
+  }
+
+  // Nothing is committed unless every write landed; the error is the
+  // first failure in artifact-name order, whichever thread hit it first.
+  catalog::TableChanges changes;
+  for (size_t i = 0; i < names.size(); ++i) {
+    BAUPLAN_RETURN_NOT_OK(written[i].status());
+    changes.puts[names[i]] = *written[i];
+  }
+  return catalog_
+      ->CommitChanges(run_branch,
+                      StrCat("run ", execution.run_id, ": ",
+                             StrJoin(names, ", ")),
+                      options_.author, changes, pinned.commit_id())
+      .status();
 }
 
 Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                                const std::string& branch,
                                const PipelineRunOptions& options) {
+  // The run reads one commit of `branch`, resolved here once: the
+  // pre-flight, the run record, the ephemeral branch, the DAG and every
+  // node body see it, and the publish commit names it as its parent.
+  BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->BranchHead(branch));
+  const catalog::PinnedTables pinned = catalog_->PinCommit(head, branch);
+  BAUPLAN_RETURN_NOT_OK(pinned.tables().status());
+
   // Pre-flight: refuse to schedule a project the analyzer rejects —
   // before a run is registered, a branch is created, or any container is
   // acquired. `--no-verify` (options.verify = false) skips this.
   if (options.verify) {
-    BAUPLAN_ASSIGN_OR_RETURN(analysis::AnalysisResult check,
-                             Check(project, catalog::RefSpec(branch)));
+    analysis::AnalysisResult check = CheckPinned(project, pinned);
     if (!check.ok()) {
       return Status::FailedPrecondition(
           StrCat("project failed static analysis (re-run with --no-verify "
@@ -305,7 +370,6 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                  check.diagnostics.ToText()));
     }
   }
-  BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->ResolveRef(branch));
   BAUPLAN_ASSIGN_OR_RETURN(pipeline::RunRecord record,
                            registry_->RegisterRun(project, branch, head));
   RunReport report;
@@ -316,7 +380,7 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
 
   // Fig. 4: execute in an ephemeral branch; merge only on full success.
   BAUPLAN_ASSIGN_OR_RETURN(std::string run_branch,
-                           catalog_->CreateEphemeralBranch(branch, "run"));
+                           catalog_->CreateEphemeralBranch(head, "run"));
   auto fail = [&](const std::string& why) -> Result<RunReport> {
     (void)catalog_->DeleteBranch(run_branch);
     BAUPLAN_RETURN_NOT_OK(
@@ -330,9 +394,8 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
     return report;
   };
 
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables, catalog_->GetTables(run_branch));
   std::set<std::string> known;
-  for (const auto& [name, key] : tables) known.insert(name);
+  for (const auto& [name, key] : *pinned.tables()) known.insert(name);
   auto dag = pipeline::Dag::Build(project, known);
   if (!dag.ok()) return fail(dag.status().ToString());
 
@@ -344,7 +407,7 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   if (wired.exec.spill_store == nullptr) {
     wired.exec.spill_store = spill_store_.get();
   }
-  auto execution = runner_->Execute(*dag, run_branch, wired);
+  auto execution = runner_->Execute(*dag, pinned, wired);
   if (!execution.ok()) return fail(execution.status().ToString());
   // The runner produced the execution half of the report; keep the
   // identity fields the facade already filled in.
@@ -363,11 +426,14 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
     return fail(StrCat("expectations failed (", details, ")"));
   }
 
-  // Audit passed: write artifacts into the ephemeral branch, then merge.
-  Status materialized = MaterializeArtifacts(report, run_branch);
-  if (!materialized.ok()) return fail(materialized.ToString());
-
-  auto merged = catalog_->Merge(run_branch, branch, options_.author);
+  // Audit passed: publish the artifacts as one commit on the ephemeral
+  // branch, then merge it (a fast-forward unless `branch` moved).
+  const uint64_t publish_start = fork_clock_->NowMicros();
+  Status published = MaterializeArtifacts(report, pinned, run_branch);
+  Result<catalog::MergeResult> merged =
+      published.ok() ? catalog_->Merge(run_branch, branch, options_.author)
+                     : Result<catalog::MergeResult>(published);
+  report.publish_micros = fork_clock_->NowMicros() - publish_start;
   if (!merged.ok()) return fail(merged.status().ToString());
   BAUPLAN_RETURN_NOT_OK(catalog_->DeleteBranch(run_branch));
   // Record which nodes the artifact cache served, so a later
@@ -385,8 +451,11 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   report.metrics = metrics_->Snapshot();
   LogInfo(StrCat("run ", report.run_id, " merged into '", branch,
                  "' at commit ", merged->commit_id));
+  std::vector<std::string> tables;
+  for (const auto& [name, table] : report.artifacts) tables.push_back(name);
   Audit("run", branch,
-        StrCat("run ", report.run_id, " fingerprint ", record.fingerprint),
+        StrCat("run ", report.run_id, " fingerprint ", record.fingerprint,
+               " tables ", StrJoin(tables, ",")),
         Status::OK());
   return report;
 }
@@ -398,60 +467,40 @@ Result<RunReport> Bauplan::ReplayRun(int64_t run_id,
   BAUPLAN_ASSIGN_OR_RETURN(pipeline::PipelineProject project,
                            registry_->GetRunProject(run_id));
 
-  // Sandboxed: a throwaway branch pinned at the run's result commit
-  // (which holds the materialized artifacts a partial replay reads), or
-  // at the input commit for runs that never merged.
+  // Sandboxed: the replay reads the run's result commit (which holds
+  // the materialized artifacts a partial replay reads), or the input
+  // commit for runs that never merged, and writes nothing to the catalog.
   const std::string& pin = record.result_commit_id.empty()
                                ? record.data_commit_id
                                : record.result_commit_id;
-  BAUPLAN_ASSIGN_OR_RETURN(
-      std::string replay_branch,
-      catalog_->CreateEphemeralBranch(pin, "replay"));
-
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables,
-                           catalog_->GetTables(replay_branch));
+  const catalog::PinnedTables tables = catalog_->PinCommit(pin);
+  BAUPLAN_RETURN_NOT_OK(tables.tables().status());
   std::set<std::string> known;
-  for (const auto& [name, key] : tables) known.insert(name);
+  for (const auto& [name, key] : *tables.tables()) known.insert(name);
 
-  auto cleanup = [&]() { (void)catalog_->DeleteBranch(replay_branch); };
-
-  auto dag = pipeline::Dag::Build(project, known);
-  if (!dag.ok()) {
-    cleanup();
-    return dag.status();
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(pipeline::Dag dag,
+                           pipeline::Dag::Build(project, known));
 
   PipelineRunOptions options;
   options.exec.metrics = metrics_.get();
   options.exec.spill_store = spill_store_.get();
   if (!selector.empty()) {
-    auto parsed = pipeline::ReplaySelector::Parse(selector);
-    if (!parsed.ok()) {
-      cleanup();
-      return parsed.status();
-    }
-    if (parsed->include_descendants) {
-      auto selected = dag->DescendantsOf(parsed->node);
-      if (!selected.ok()) {
-        cleanup();
-        return selected.status();
-      }
-      options.selected = std::move(*selected);
+    BAUPLAN_ASSIGN_OR_RETURN(pipeline::ReplaySelector parsed,
+                             pipeline::ReplaySelector::Parse(selector));
+    if (parsed.include_descendants) {
+      BAUPLAN_ASSIGN_OR_RETURN(options.selected,
+                               dag.DescendantsOf(parsed.node));
     } else {
-      if (!dag->HasNode(parsed->node)) {
-        cleanup();
+      if (!dag.HasNode(parsed.node)) {
         return Status::NotFound(
-            StrCat("no node named '", parsed->node, "' in run ", run_id));
+            StrCat("no node named '", parsed.node, "' in run ", run_id));
       }
-      options.selected = {parsed->node};
+      options.selected = {parsed.node};
     }
   }
 
-  auto execution = runner_->Execute(*dag, replay_branch, options);
-  cleanup();
-  BAUPLAN_RETURN_NOT_OK(execution.status());
-
-  RunReport report = std::move(*execution);
+  BAUPLAN_ASSIGN_OR_RETURN(RunReport report,
+                           runner_->Execute(dag, tables, options));
   report.run_id = run_id;
   report.merged = false;  // replays never touch user branches
   report.status = report.all_expectations_passed

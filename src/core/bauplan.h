@@ -122,9 +122,10 @@ class Bauplan {
   // --------------------------------------------------------------- run
 
   /// `bauplan run`: snapshots + fingerprints the project, executes its
-  /// DAG inside an ephemeral branch (transform-audit-write), materializes
-  /// every SQL artifact as a table, and merges into `branch` only when
-  /// all expectations pass.
+  /// DAG inside an ephemeral branch (transform-audit-write) against the
+  /// one commit of `branch` it reads up front, materializes every SQL
+  /// artifact as a table in one commit, and merges into `branch` only
+  /// when all expectations pass.
   Result<RunReport> Run(const pipeline::PipelineProject& project,
                         const std::string& branch,
                         const PipelineRunOptions& options = {});
@@ -176,9 +177,18 @@ class Bauplan {
   Bauplan(storage::ObjectStore* base_store, Clock* clock,
           BauplanOptions options);
 
-  /// Materializes run artifacts as catalog tables on `target_branch`.
+  /// `Check` over a table map the caller already pinned.
+  analysis::AnalysisResult CheckPinned(
+      const pipeline::PipelineProject& project,
+      const catalog::PinnedTables& pinned);
+
+  /// Publishes a run's artifacts: writes each one as a table snapshot in
+  /// one write wave (concurrent, one forked timeline each), then commits
+  /// them all as one commit on `run_branch`, whose head must still be
+  /// the pinned commit. A failed write commits nothing.
   Status MaterializeArtifacts(const RunReport& execution,
-                              const std::string& target_branch);
+                              const catalog::PinnedTables& pinned,
+                              const std::string& run_branch);
 
   /// Records one audit entry; failures are logged, never fatal.
   void Audit(const std::string& operation, const std::string& ref,

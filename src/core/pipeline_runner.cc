@@ -110,7 +110,7 @@ runtime::ContainerSpec PipelineRunner::SpecForNode(
 }
 
 Result<RunReport> PipelineRunner::Execute(
-    const Dag& dag, const std::string& ref,
+    const Dag& dag, const catalog::PinnedTables& tables,
     const PipelineRunOptions& options) {
   for (const auto& name : options.selected) {
     if (!dag.HasNode(name)) {
@@ -119,7 +119,6 @@ Result<RunReport> PipelineRunner::Execute(
     }
   }
   spill_store_->ResetMetrics();
-  const catalog::PinnedTables tables = catalog_->Pin(ref);
 
   // Cache keys are derived once per run, before any dispatch: execution
   // knobs are absent from them by design, so the same map serves every
@@ -141,7 +140,7 @@ Result<RunReport> PipelineRunner::Execute(
   uint64_t run_span = 0;
   if (tracer_ != nullptr) {
     run_span = tracer_->StartSpan("run", observability::span_kind::kRun);
-    tracer_->AddAttribute(run_span, "ref", ref);
+    tracer_->AddAttribute(run_span, "ref", tables.ref());
     tracer_->AddAttribute(
         run_span, "mode",
         options.fused ? "fused"

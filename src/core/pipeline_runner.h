@@ -79,15 +79,13 @@ class PipelineRunner {
   /// reservation and container acquisition entirely) and memoizes fresh
   /// post-audit artifacts; `metrics` hosts the runner's own
   /// cache.skipped_invocations counter.
-  PipelineRunner(Clock* clock, const catalog::Catalog* catalog,
-                 const table::TableOps* ops,
+  PipelineRunner(Clock* clock, const table::TableOps* ops,
                  runtime::ServerlessExecutor* executor,
                  storage::MeteredObjectStore* spill_store,
                  observability::Tracer* tracer = nullptr,
                  cache::ArtifactCache* cache = nullptr,
                  observability::MetricsRegistry* metrics = nullptr)
       : clock_(clock),
-        catalog_(catalog),
         ops_(ops),
         executor_(executor),
         spill_store_(spill_store),
@@ -98,13 +96,13 @@ class PipelineRunner {
                 ? nullptr
                 : metrics->GetCounter("cache.skipped_invocations")) {}
 
-  /// Runs `dag` reading source tables at `ref`. Expectation failures are
-  /// reported in the result (not as an error Status); infrastructure
-  /// failures are errors. `ref` is resolved once, before any dispatch:
-  /// cache keys, function sizing and node bodies all read that one table
-  /// map, so no node body touches the catalog.
+  /// Runs `dag` reading source tables from `tables`, a table map the
+  /// caller pinned. Expectation failures are reported in the result (not
+  /// as an error Status); infrastructure failures are errors. Cache keys,
+  /// function sizing and node bodies all read that one map, so the
+  /// runner never touches the catalog.
   Result<RunReport> Execute(const pipeline::Dag& dag,
-                            const std::string& ref,
+                            const catalog::PinnedTables& tables,
                             const PipelineRunOptions& options);
 
  private:
@@ -167,7 +165,6 @@ class PipelineRunner {
   runtime::ContainerSpec SpecForNode(const pipeline::PipelineNode& node);
 
   Clock* clock_;
-  const catalog::Catalog* catalog_;
   const table::TableOps* ops_;
   runtime::ServerlessExecutor* executor_;
   storage::MeteredObjectStore* spill_store_;

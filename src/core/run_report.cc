@@ -70,7 +70,8 @@ std::string RunReport::ToJson() const {
       << "\",\"merged\":" << (merged ? "true" : "false")
       << ",\"merged_commit_id\":\""
       << EscapeJson(merged_commit_id)
-      << "\",\"total_micros\":" << total_micros
+      << "\",\"publish_micros\":" << publish_micros
+      << ",\"total_micros\":" << total_micros
       << ",\"all_expectations_passed\":"
       << (all_expectations_passed ? "true" : "false");
   out << ",\"nodes\":[";

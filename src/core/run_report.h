@@ -53,10 +53,11 @@ struct NodeExecution {
 
 /// The one report every run-shaped verb returns (`Run`, `ReplayRun`, and
 /// PipelineRunner::Execute, which leaves the merge fields defaulted).
-/// Version 2 of the report schema: the previous API split this across
-/// RunReport / PipelineRunReport / NodeReport / InvocationReport.
+/// Version 3 of the report schema (version 2 unified RunReport /
+/// PipelineRunReport / NodeReport / InvocationReport; 3 adds
+/// publish_micros).
 struct RunReport {
-  static constexpr int kSchemaVersion = 2;
+  static constexpr int kSchemaVersion = 3;
 
   // -- identity / merge outcome (filled by the Bauplan facade) ---------
   int64_t run_id = 0;
@@ -64,10 +65,13 @@ struct RunReport {
   /// Commit the target branch ended at ("" when not merged).
   std::string merged_commit_id;
   bool merged = false;
+  /// Simulated time spent publishing: writing the artifacts as tables,
+  /// committing them, and merging (0 when the run never got there).
+  uint64_t publish_micros = 0;
 
   // -- execution -------------------------------------------------------
   /// Simulated end-to-end latency of the DAG execution (the run
-  /// makespan; excludes materialize/merge bookkeeping).
+  /// makespan; publishing is publish_micros).
   uint64_t total_micros = 0;
   bool all_expectations_passed = true;
   std::vector<NodeExecution> nodes;

@@ -1,9 +1,7 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
-#include <thread>
 #include <utility>
 
 namespace bauplan::runtime {
@@ -194,26 +192,19 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
   // a fork resuming where its prelude left off. Bodies only make
   // duration-relative charges (store latency, compute), so the final
   // schedule does not depend on OS thread interleaving.
-  size_t pool_size = std::min<size_t>(static_cast<size_t>(parallelism),
-                                      members.size());
-  std::atomic<size_t> next_member{0};
-  auto run_bodies = [&]() {
-    for (;;) {
-      size_t i = next_member.fetch_add(1);
-      if (i >= members.size()) break;
-      WaveMember& member = members[i];
-      fork_clock->BeginFork(wave_start + member.prelude_micros);
-      Status body_status = Status::OK();
-      if (member.request.body) body_status = member.request.body();
-      member.body_micros =
-          fork_clock->EndFork() - (wave_start + member.prelude_micros);
-      member.body_status = std::move(body_status);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(pool_size);
-  for (size_t t = 0; t < pool_size; ++t) pool.emplace_back(run_bodies);
-  for (std::thread& thread : pool) thread.join();
+  std::vector<uint64_t> body_starts;
+  body_starts.reserve(members.size());
+  for (const WaveMember& member : members) {
+    body_starts.push_back(wave_start + member.prelude_micros);
+  }
+  std::vector<uint64_t> body_micros =
+      fork_clock->RunForked(body_starts, parallelism, [&](size_t i) {
+        WaveMember& member = members[i];
+        if (member.request.body) member.body_status = member.request.body();
+      });
+  for (size_t i = 0; i < members.size(); ++i) {
+    members[i].body_micros = body_micros[i];
+  }
 
   // Phase C (coordinator, request order): lay the members onto the
   // per-worker timelines. Two members on the same worker serialize; the

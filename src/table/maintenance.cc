@@ -4,7 +4,6 @@
 #include <set>
 
 #include "columnar/compute.h"
-#include "common/strings.h"
 #include "format/reader.h"
 
 namespace bauplan::table {
@@ -49,11 +48,6 @@ Result<CompactionResult> TableMaintenance::CompactFiles(
   }
 
   std::vector<DataFile> new_files;
-  int compact_index = 0;
-  int64_t next_snapshot_hint =
-      metadata.snapshots.empty()
-          ? 1
-          : metadata.snapshots.back().snapshot_id + 1;
   for (auto& [partition, files] : groups) {
     if (static_cast<int>(files.size()) <= max_files_per_partition) {
       for (auto& f : files) new_files.push_back(std::move(f));
@@ -71,11 +65,8 @@ Result<CompactionResult> TableMaintenance::CompactFiles(
     }
     BAUPLAN_ASSIGN_OR_RETURN(columnar::Table merged,
                              columnar::ConcatTables(pieces));
-    BAUPLAN_ASSIGN_OR_RETURN(
-        DataFile compacted,
-        ops_->WriteDataFile(metadata, merged, partition,
-                            StrCat("compact-", next_snapshot_hint, "-",
-                                   compact_index++)));
+    BAUPLAN_ASSIGN_OR_RETURN(DataFile compacted,
+                             ops_->WriteDataFile(metadata, merged, partition));
     new_files.push_back(std::move(compacted));
     result.compacted = true;
   }

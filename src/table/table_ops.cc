@@ -20,13 +20,29 @@ TableOps::TableOps(storage::ObjectStore* store, Clock* clock,
                    std::string data_prefix)
     : store_(store), clock_(clock), data_prefix_(std::move(data_prefix)) {}
 
+namespace {
+
+std::string FingerprintOf(const Bytes& bytes) {
+  return FingerprintHex(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+}
+
+}  // namespace
+
 Result<std::string> TableOps::WriteMetadata(const TableMetadata& metadata) {
   Bytes image = metadata.Serialize();
-  std::string fingerprint = FingerprintHex(
-      std::string_view(reinterpret_cast<const char*>(image.data()),
-                       image.size()));
   std::string key = StrCat(data_prefix_, "/", metadata.table_name,
-                           "/metadata/", fingerprint, ".meta");
+                           "/metadata/", FingerprintOf(image), ".meta");
+  BAUPLAN_RETURN_NOT_OK(store_->Put(key, std::move(image)));
+  return key;
+}
+
+Result<std::string> TableOps::WriteManifest(const std::string& table_name,
+                                            const Manifest& manifest) {
+  Bytes image = manifest.Serialize();
+  std::string key = StrCat(data_prefix_, "/", table_name,
+                           "/metadata/manifest-", FingerprintOf(image),
+                           ".manifest");
   BAUPLAN_RETURN_NOT_OK(store_->Put(key, std::move(image)));
   return key;
 }
@@ -103,29 +119,16 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
 
   // Write one BPF file per non-empty partition.
   Manifest manifest;
-  int file_index = 0;
   for (const auto& [tuple, indices] : groups) {
     if (indices.empty()) continue;
     BAUPLAN_ASSIGN_OR_RETURN(columnar::Table part,
                              columnar::TakeTable(data, indices));
-    BAUPLAN_ASSIGN_OR_RETURN(Bytes file_bytes, format::WriteBpfFile(part));
-    DataFile file;
-    file.path = StrCat(data_prefix_, "/", metadata.table_name, "/data/snap-",
-                       next_snapshot_id, "-", file_index++, ".bpf");
-    file.record_count = part.num_rows();
-    file.file_size_bytes = file_bytes.size();
-    file.partition = tuple;
-    for (int c = 0; c < part.num_columns(); ++c) {
-      file.column_stats.push_back(columnar::ComputeStats(*part.column(c)));
-    }
-    BAUPLAN_RETURN_NOT_OK(store_->Put(file.path, std::move(file_bytes)));
+    BAUPLAN_ASSIGN_OR_RETURN(DataFile file,
+                             WriteDataFile(metadata, part, tuple));
     manifest.files.push_back(std::move(file));
   }
-
-  std::string manifest_key =
-      StrCat(data_prefix_, "/", metadata.table_name, "/metadata/manifest-",
-             next_snapshot_id, ".manifest");
-  BAUPLAN_RETURN_NOT_OK(store_->Put(manifest_key, manifest.Serialize()));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string manifest_key,
+                           WriteManifest(metadata.table_name, manifest));
 
   Snapshot snapshot;
   snapshot.snapshot_id = next_snapshot_id;
@@ -146,9 +149,9 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
   return WriteMetadata(metadata);
 }
 
-Result<DataFile> TableOps::WriteDataFile(
-    const TableMetadata& metadata, const columnar::Table& data,
-    std::vector<Value> partition, const std::string& label) {
+Result<DataFile> TableOps::WriteDataFile(const TableMetadata& metadata,
+                                         const columnar::Table& data,
+                                         std::vector<Value> partition) {
   if (!(data.schema() == metadata.schema)) {
     return Status::InvalidArgument(
         "data schema does not match table schema");
@@ -156,7 +159,7 @@ Result<DataFile> TableOps::WriteDataFile(
   BAUPLAN_ASSIGN_OR_RETURN(Bytes file_bytes, format::WriteBpfFile(data));
   DataFile file;
   file.path = StrCat(data_prefix_, "/", metadata.table_name, "/data/",
-                     label, ".bpf");
+                     FingerprintOf(file_bytes), ".bpf");
   file.record_count = data.num_rows();
   file.file_size_bytes = file_bytes.size();
   file.partition = std::move(partition);
@@ -180,10 +183,8 @@ Result<std::string> TableOps::CommitFileSet(TableMetadata metadata,
     total_records += file.record_count;
     manifest.files.push_back(std::move(file));
   }
-  std::string manifest_key =
-      StrCat(data_prefix_, "/", metadata.table_name, "/metadata/manifest-",
-             next_snapshot_id, ".manifest");
-  BAUPLAN_RETURN_NOT_OK(store_->Put(manifest_key, manifest.Serialize()));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string manifest_key,
+                           WriteManifest(metadata.table_name, manifest));
 
   Snapshot snapshot;
   snapshot.snapshot_id = next_snapshot_id;

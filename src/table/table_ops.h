@@ -99,12 +99,13 @@ class TableOps {
 
   /// Writes `data` as one data file of the table, tagged with the given
   /// partition tuple, and returns its manifest entry. Does not create a
-  /// snapshot; pair with CommitFileSet. `label` disambiguates the object
-  /// key (e.g. "compact-3-0").
+  /// snapshot; pair with CommitFileSet. Like metadata and manifests, the
+  /// file is named by a fingerprint of its bytes, so two branches that
+  /// write the same table from the same snapshot never share a key
+  /// unless they wrote the same bytes.
   Result<DataFile> WriteDataFile(const TableMetadata& metadata,
                                  const columnar::Table& data,
-                                 std::vector<columnar::Value> partition,
-                                 const std::string& label);
+                                 std::vector<columnar::Value> partition);
 
   /// Creates a new snapshot whose live contents are exactly `files`
   /// (all already in storage), with the given operation tag, and writes
@@ -139,6 +140,8 @@ class TableOps {
 
  private:
   Result<std::string> WriteMetadata(const TableMetadata& metadata);
+  Result<std::string> WriteManifest(const std::string& table_name,
+                                    const Manifest& manifest);
   Result<std::string> WriteSnapshot(TableMetadata metadata,
                                     const columnar::Table& data,
                                     const std::string& operation);

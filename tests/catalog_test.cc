@@ -137,6 +137,27 @@ TEST_F(CatalogTest, ResolveRefKinds) {
   EXPECT_TRUE(catalog_->ResolveRef("bogus").status().IsNotFound());
 }
 
+TEST_F(CatalogTest, CommitShapedNamesAreOnlyCommitIds) {
+  auto c1 = Commit("main", "t", "k");
+  ASSERT_TRUE(c1.ok());
+  // A branch or tag with a commit id's shape would shadow a commit.
+  EXPECT_TRUE(catalog_->CreateBranch("0123456789abcdef", "main")
+                  .IsInvalidArgument());
+  EXPECT_TRUE(catalog_->CreateTag(*c1, "main").IsInvalidArgument());
+  // Other hex-ish names are ordinary names.
+  EXPECT_TRUE(catalog_->CreateBranch("0123456789ABCDEF", "main").ok());
+  EXPECT_TRUE(catalog_->CreateBranch("0123456789abcdef0", "main").ok());
+  // An unknown commit id is NotFound; a known one pins its table map.
+  EXPECT_TRUE(
+      catalog_->ResolveRef("fedcba9876543210").status().IsNotFound());
+  PinnedTables pinned = catalog_->Pin(*c1);
+  ASSERT_TRUE(pinned.tables().ok());
+  EXPECT_EQ(pinned.commit_id(), *c1);
+  EXPECT_EQ(*pinned.GetTable("t"), "k");
+  EXPECT_TRUE(catalog_->Pin("fedcba9876543210").tables().status()
+                  .IsNotFound());
+}
+
 TEST_F(CatalogTest, FastForwardMerge) {
   ASSERT_TRUE(catalog_->CreateBranch("feat", "main").ok());
   auto c = Commit("feat", "taxi", "meta/v1");
@@ -221,8 +242,10 @@ TEST_F(CatalogTest, ThreeWayMergeDeletionPropagates) {
 }
 
 TEST_F(CatalogTest, EphemeralBranchNamesAreUnique) {
-  auto b1 = catalog_->CreateEphemeralBranch("main", "run");
-  auto b2 = catalog_->CreateEphemeralBranch("main", "run");
+  auto head = catalog_->BranchHead("main");
+  ASSERT_TRUE(head.ok());
+  auto b1 = catalog_->CreateEphemeralBranch(*head, "run");
+  auto b2 = catalog_->CreateEphemeralBranch(*head, "run");
   ASSERT_TRUE(b1.ok());
   ASSERT_TRUE(b2.ok());
   EXPECT_NE(*b1, *b2);

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
 #include <set>
+#include <utility>
 
 #include "columnar/builder.h"
 #include "columnar/datetime.h"
+#include "common/strings.h"
 #include "core/bauplan.h"
 #include "pipeline/project.h"
+#include "storage/fault_injection_store.h"
 #include "storage/object_store.h"
 #include "workload/taxi_gen.h"
 
@@ -197,7 +202,8 @@ TEST_F(BauplanTest, RunReportEmbedsTraceAndMetrics) {
 
   // The versioned JSON export carries all of it.
   std::string json = report->ToJson();
-  EXPECT_NE(json.find("\"version\":2"), std::string::npos);
+  EXPECT_EQ(json.rfind("{\"version\":3,", 0), 0u);
+  EXPECT_NE(json.find("\"publish_micros\":"), std::string::npos);
   EXPECT_NE(json.find("\"trace\":"), std::string::npos);
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"run\""), std::string::npos);
@@ -543,6 +549,257 @@ TEST_F(BauplanTest, PipelineWithJoinAcrossSources) {
   auto result = platform_->Query("SELECT * FROM named_busy");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.num_rows(), 10);
+}
+
+TEST_F(BauplanTest, BranchesWritingOneTableKeepTheirOwnRows) {
+  // Both branches append to `t` from the same snapshot, so keys derived
+  // from the next snapshot id would let one branch's files replace the
+  // other's.
+  workload::TaxiGenOptions gen;
+  gen.rows = 100;
+  auto base = workload::GenerateTaxiTable(gen);
+  ASSERT_TRUE(platform_->CreateTable("main", "t", base->schema()).ok());
+  ASSERT_TRUE(platform_->WriteTable("main", "t", *base).ok());
+  ASSERT_TRUE(platform_->CreateBranch("feat", "main").ok());
+  gen.rows = 50;
+  gen.seed = 5;
+  ASSERT_TRUE(platform_->WriteTable("main", "t",
+                                    *workload::GenerateTaxiTable(gen)).ok());
+  gen.rows = 70;
+  gen.seed = 7;
+  ASSERT_TRUE(platform_->WriteTable("feat", "t",
+                                    *workload::GenerateTaxiTable(gen)).ok());
+
+  auto on_main = platform_->Query("SELECT COUNT(*) AS n FROM t", "main");
+  auto on_feat = platform_->Query("SELECT COUNT(*) AS n FROM t", "feat");
+  ASSERT_TRUE(on_main.ok()) << on_main.status().ToString();
+  ASSERT_TRUE(on_feat.ok()) << on_feat.status().ToString();
+  EXPECT_EQ(on_main->table.GetValue(0, 0), Value::Int64(150));
+  EXPECT_EQ(on_feat->table.GetValue(0, 0), Value::Int64(170));
+}
+
+// ------------------------------------------------------- publishing cost
+
+/// Passes every call through and records it as "<OP> <key>", in order.
+class RecordingStore : public storage::ObjectStore {
+ public:
+  explicit RecordingStore(storage::ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, Bytes data) override {
+    Record("PUT", key);
+    return base_->Put(key, std::move(data));
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    Record("GET", key);
+    return base_->Get(key);
+  }
+  Result<uint64_t> Head(const std::string& key) const override {
+    Record("HEAD", key);
+    return base_->Head(key);
+  }
+  Status Delete(const std::string& key) override {
+    Record("DELETE", key);
+    return base_->Delete(key);
+  }
+  Result<std::vector<storage::ObjectMeta>> List(
+      const std::string& prefix) const override {
+    Record("LIST", prefix);
+    return base_->List(prefix);
+  }
+
+  /// The calls recorded since the last TakeCalls.
+  std::vector<std::string> TakeCalls() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(calls_, {});
+  }
+
+ private:
+  void Record(const char* op, const std::string& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.push_back(StrCat(op, " ", key));
+  }
+
+  storage::ObjectStore* base_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::string> calls_;
+};
+
+size_t CountPrefix(const std::vector<std::string>& calls,
+                   const std::string& prefix) {
+  return static_cast<size_t>(
+      std::count_if(calls.begin(), calls.end(), [&](const std::string& c) {
+        return c.rfind(prefix, 0) == 0;
+      }));
+}
+
+/// `models` independent models over taxi_table, each its own artifact.
+pipeline::PipelineProject ModelsProject(int models) {
+  pipeline::PipelineProject project(StrCat("models_", models));
+  for (int i = 0; i < models; ++i) {
+    Status st = project.AddSqlNode(
+        StrCat("m", i),
+        StrCat("SELECT pickup_location_id, COUNT(*) AS n, SUM(fare) AS "
+               "revenue FROM taxi_table WHERE passenger_count >= ",
+               i % 3, " GROUP BY pickup_location_id"));
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  return project;
+}
+
+/// A platform on the S3-class latency model whose lake calls are
+/// recorded (behind a fault injector), seeded with taxi_table on main.
+struct RecordedLake {
+  storage::MemoryObjectStore base;
+  storage::FaultInjectionStore faults{&base};
+  RecordingStore recorder{&faults};
+  SimClock clock{1700000000000000ull};
+  std::unique_ptr<Bauplan> platform;
+};
+
+class PublishTest : public ::testing::Test {
+ protected:
+  void SetUp() override { OpenLake(); }
+
+  /// Replaces the lake with a fresh one in the same state.
+  void OpenLake() {
+    lake_ = std::make_unique<RecordedLake>();
+    BauplanOptions options;
+    options.lake_latency = storage::LatencyModel();
+    auto opened = Bauplan::Open(&lake_->recorder, &lake_->clock, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    lake_->platform = std::move(*opened);
+    workload::TaxiGenOptions gen;
+    gen.rows = 2000;
+    gen.start_date = "2019-03-01";
+    gen.days = 90;
+    auto taxi = workload::GenerateTaxiTable(gen);
+    ASSERT_TRUE(
+        platform().CreateTable("main", "taxi_table", taxi->schema()).ok());
+    ASSERT_TRUE(platform().WriteTable("main", "taxi_table", *taxi).ok());
+    lake_->recorder.TakeCalls();
+  }
+
+  Bauplan& platform() { return *lake_->platform; }
+  std::vector<std::string> TakeCalls() {
+    return lake_->recorder.TakeCalls();
+  }
+  std::string MainHead() {
+    return platform().mutable_catalog()->BranchHead("main").ValueOrDie();
+  }
+
+  std::unique_ptr<RecordedLake> lake_;
+};
+
+TEST_F(PublishTest, RunReadsItsBranchOnceAndCommitsOnTopOfIt) {
+  auto report = platform().Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->merged) << report->status;
+  std::vector<std::string> calls = TakeCalls();
+
+  // The merge is the PUT that moves main; the publish commit is the last
+  // commit written before it. Before that commit, the run read main's
+  // ref exactly once: pre-flight, run record, ephemeral branch, DAG and
+  // node bodies all used that one read.
+  const std::string main_ref = "catalog/refs/branch/main";
+  auto merge = std::find(calls.begin(), calls.end(), "PUT " + main_ref);
+  ASSERT_NE(merge, calls.end());
+  auto publish = std::find_if(
+      std::make_reverse_iterator(merge), calls.rend(),
+      [](const std::string& c) {
+        return c.rfind("PUT catalog/commits/", 0) == 0;
+      });
+  ASSERT_NE(publish, calls.rend());
+  std::vector<std::string> before(calls.begin(), publish.base() - 1);
+  EXPECT_EQ(CountPrefix(before, "GET " + main_ref), 1u);
+  // The merge reads main's head once more, to fast-forward it.
+  EXPECT_EQ(CountPrefix(calls, "GET " + main_ref), 2u);
+
+  // The run verified, recorded and executed the publish commit's parent.
+  auto record = platform().run_registry().GetRun(report->run_id);
+  ASSERT_TRUE(record.ok());
+  auto published =
+      platform().mutable_catalog()->GetCommit(report->merged_commit_id);
+  ASSERT_TRUE(published.ok());
+  EXPECT_EQ(published->parent_id, record->data_commit_id);
+  EXPECT_EQ(published->message, "run 1: pickups, trips");
+}
+
+TEST_F(PublishTest, QueryAndReplayAtACommitIdProbeNoRefs) {
+  auto report = platform().Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  ASSERT_TRUE(report.ok() && report->merged);
+  const std::string head = MainHead();
+  TakeCalls();
+
+  auto query = platform().Query("SELECT COUNT(*) AS n FROM pickups", head);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto replay = platform().ReplayRun(report->run_id);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  std::vector<std::string> calls = TakeCalls();
+  EXPECT_EQ(CountPrefix(calls, "GET catalog/refs/tag/"), 0u);
+  EXPECT_EQ(CountPrefix(calls, "HEAD "), 0u);
+  // Neither one writes a ref.
+  EXPECT_EQ(CountPrefix(calls, "PUT catalog/refs/"), 0u);
+}
+
+TEST_F(PublishTest, PublishingCostDoesNotGrowWithArtifactCount) {
+  struct Outcome {
+    size_t catalog_reads = 0;
+    uint64_t publish_micros = 0;
+  };
+  auto run = [&](int models) -> Outcome {
+    // Each pipeline starts from the same lake state.
+    OpenLake();
+    const std::string before = MainHead();
+    auto report = platform().Run(ModelsProject(models), "main");
+    EXPECT_TRUE(report.ok() && report->merged)
+        << (report.ok() ? report->status : report.status().ToString());
+    std::vector<std::string> calls = TakeCalls();
+    // main gained exactly one commit, by fast-forward.
+    auto published = platform().mutable_catalog()->GetCommit(MainHead());
+    EXPECT_TRUE(published.ok());
+    EXPECT_EQ(published->parent_id, before);
+    EXPECT_TRUE(published->merge_parent_id.empty());
+    EXPECT_EQ(published->tables.size(), static_cast<size_t>(models) + 1);
+    return {CountPrefix(calls, "GET catalog/"), report->publish_micros};
+  };
+  Outcome two = run(2);
+  Outcome eight = run(8);
+  EXPECT_EQ(two.catalog_reads, eight.catalog_reads);
+  EXPECT_GT(two.publish_micros, 0u);
+  EXPECT_LE(eight.publish_micros * 2, two.publish_micros * 3)
+      << "2 artifacts: " << two.publish_micros
+      << " us, 8 artifacts: " << eight.publish_micros << " us";
+}
+
+TEST_F(PublishTest, FailedArtifactWriteCommitsNothing) {
+  const std::string before = MainHead();
+  // m3's data PUT fails; the other seven writes run concurrently with it.
+  lake_->faults.FailOnlyPrefix("lake/m3/data/");
+  lake_->faults.FailAfter(0);
+  std::string first_status;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    auto report = platform().Run(ModelsProject(8), "main");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_FALSE(report->merged);
+    EXPECT_NE(report->status.find("injected fault on PUT 'lake/m3/data/"),
+              std::string::npos)
+        << report->status;
+    if (attempt == 0) first_status = report->status;
+    EXPECT_EQ(report->status, first_status);
+    EXPECT_EQ(MainHead(), before);
+    EXPECT_EQ(platform().ListBranches()->size(), 1u);
+  }
+
+  // With every artifact failing, the error is always the first in
+  // artifact-name order, whichever write failed first in real time.
+  lake_->faults.FailOnlyPrefix("lake/m");
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    auto report = platform().Run(ModelsProject(8), "main");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_NE(report->status.find("'lake/m0/"), std::string::npos)
+        << report->status;
+    EXPECT_EQ(MainHead(), before);
+  }
 }
 
 }  // namespace

@@ -187,5 +187,38 @@ TEST_F(MaintenanceTest, CompactThenExpireReclaimsFragments) {
   EXPECT_EQ(CountRows(expired->metadata_key), 1200);
 }
 
+TEST_F(MaintenanceTest, CompactionOnTwoBranchesKeepsEachBranchsFiles) {
+  // Two branches share a fragmented table, each appends its own rows and
+  // compacts. Both start from the same snapshot, so file and manifest
+  // keys derived from the snapshot id would collide; content keys do not.
+  std::string base = BuildTable(3, 100);
+  workload::TaxiGenOptions gen;
+  gen.rows = 50;
+  gen.seed = 101;
+  std::string a = *ops_.Append(base, *workload::GenerateTaxiTable(gen));
+  gen.rows = 70;
+  gen.seed = 202;
+  std::string b = *ops_.Append(base, *workload::GenerateTaxiTable(gen));
+
+  auto a_compacted = maint_.CompactFiles(a);
+  auto b_compacted = maint_.CompactFiles(b);
+  ASSERT_TRUE(a_compacted.ok()) << a_compacted.status().ToString();
+  ASSERT_TRUE(b_compacted.ok()) << b_compacted.status().ToString();
+  ASSERT_TRUE(a_compacted->compacted);
+  ASSERT_TRUE(b_compacted->compacted);
+  EXPECT_EQ(CountRows(a_compacted->metadata_key), 350);
+  EXPECT_EQ(CountRows(b_compacted->metadata_key), 370);
+  // The pre-compaction snapshots still read their own rows.
+  EXPECT_EQ(CountRows(a), 350);
+  EXPECT_EQ(CountRows(b), 370);
+  auto a_plan = ops_.PlanScan(*ops_.LoadMetadata(a_compacted->metadata_key),
+                              ScanOptions());
+  auto b_plan = ops_.PlanScan(*ops_.LoadMetadata(b_compacted->metadata_key),
+                              ScanOptions());
+  ASSERT_EQ(a_plan->files.size(), 1u);
+  ASSERT_EQ(b_plan->files.size(), 1u);
+  EXPECT_NE(a_plan->files[0].path, b_plan->files[0].path);
+}
+
 }  // namespace
 }  // namespace bauplan::table
