@@ -1,6 +1,7 @@
 #include "core/bauplan.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -175,7 +176,18 @@ Result<sql::QueryResult> Bauplan::Query(std::string_view sql_text,
   LogDebug(StrCat("query at ", ref_text, ": ", sql));
   // The result cache is sound because refs resolve to immutable commits
   // (an as-of ref resolves to the snapshot commit, so it caches too).
-  auto commit = catalog_->Resolve(ref);
+  // A commit id is pinned up front: its one commit read both proves it
+  // exists and yields the table map. Any other ref resolves first, so a
+  // cache hit costs only the ref read.
+  std::optional<catalog::PinnedTables> pinned;
+  if (!ref.has_timestamp() &&
+      catalog::Catalog::LooksLikeCommitId(ref.name())) {
+    pinned = catalog_->PinCommit(ref.name(), ref_text);
+  }
+  Result<std::string> commit =
+      !pinned.has_value()     ? catalog_->Resolve(ref)
+      : pinned->tables().ok() ? Result<std::string>(pinned->commit_id())
+                              : Result<std::string>(pinned->tables().status());
   if (commit.ok()) {
     sql::QueryResult cached;
     // A hit replays the whole original payload — stats, and (when the
@@ -194,10 +206,11 @@ Result<sql::QueryResult> Bauplan::Query(std::string_view sql_text,
   // Scans read the resolved commit's table map, so an as-of ref sees
   // history. A failed resolution is kept: the first table lookup
   // returns it, and a query that names no table still runs.
-  LakehouseSource source(
-      table_ops_.get(),
-      commit.ok() ? catalog_->PinCommit(*commit, ref_text)
-                  : catalog::PinnedTables(ref_text, commit.status()));
+  if (!pinned.has_value()) {
+    pinned = commit.ok() ? catalog_->PinCommit(*commit, ref_text)
+                         : catalog::PinnedTables(ref_text, commit.status());
+  }
+  LakehouseSource source(table_ops_.get(), std::move(*pinned));
   sql::QueryOptions traced = options;
   traced.tracer = tracer_.get();
   traced.parent_span = query_span;

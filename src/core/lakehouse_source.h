@@ -24,6 +24,10 @@ namespace bauplan::core {
 /// later schema or scan lookup reads that map. So one source sees one
 /// commit even if its branch moves, and a resolution error is returned
 /// by every lookup.
+///
+/// Each table's metadata is fetched and parsed once per source, then
+/// reused by every schema lookup and scan: metadata keys are
+/// content-addressed, so a key's metadata never changes.
 class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
  public:
   /// Does not own `catalog` or `ops`. `ref` is a branch, tag, or commit.
@@ -58,13 +62,17 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
       const std::vector<format::ColumnPredicate>& predicates) override;
 
  private:
-  /// Metadata key of a catalog table, pinning the ref on first use.
-  Result<std::string> MetadataKey(const std::string& table_name) const;
+  /// Parsed metadata of a catalog table, pinning the ref on first use
+  /// and loading each metadata key once.
+  Result<const table::TableMetadata*> Metadata(
+      const std::string& table_name) const;
 
   const catalog::Catalog* catalog_;
   const table::TableOps* ops_;
   std::string ref_;
   mutable std::optional<catalog::PinnedTables> pinned_;
+  /// Loaded metadata by metadata key.
+  mutable std::map<std::string, table::TableMetadata> metadata_;
   std::map<std::string, columnar::Table> overlay_;
   table::ScanPlan last_plan_;
   int64_t total_files_pruned_ = 0;

@@ -1,7 +1,10 @@
 #ifndef BAUPLAN_STORAGE_LATENCY_MODEL_H_
 #define BAUPLAN_STORAGE_LATENCY_MODEL_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <vector>
 
 namespace bauplan::storage {
 
@@ -39,6 +42,25 @@ struct LatencyModel {
     }
     return 0;
   }
+
+  /// Modeled duration of a batch of GETs of `sizes` issued concurrently
+  /// over kGetConnections connections: requests go in order to the
+  /// earliest-free connection (ties to the lowest index), and the batch
+  /// ends when its last connection does. One request costs exactly
+  /// MicrosFor(kGet, size); an empty batch costs nothing.
+  uint64_t GetBatchMakespan(const std::vector<uint64_t>& sizes) const {
+    std::array<uint64_t, kGetConnections> free_at{};
+    for (uint64_t size : sizes) {
+      uint64_t* earliest = std::min_element(free_at.begin(), free_at.end());
+      *earliest += MicrosFor(StoreOp::kGet, size);
+    }
+    return *std::max_element(free_at.begin(), free_at.end());
+  }
+
+  /// Connections a batched read spreads over: Arrow's default I/O pool
+  /// size. S3 scales throughput per connection, so each one streams at
+  /// bytes_per_second.
+  static constexpr size_t kGetConnections = 8;
 
   /// An instant model (all zeros) for tests that do not exercise latency.
   static LatencyModel Instant() { return {0, 0, 0, 0, 0, 0}; }

@@ -23,6 +23,7 @@ MeteredObjectStore::MeteredObjectStore(
   bytes_written_ = registry->GetCounter(metric_prefix_ + ".bytes_written");
   simulated_micros_ =
       registry->GetCounter(metric_prefix_ + ".simulated_micros");
+  request_micros_ = registry->GetCounter(metric_prefix_ + ".request_micros");
   credits_ = registry->GetDoubleCounter(metric_prefix_ + ".credits");
 }
 
@@ -37,6 +38,7 @@ StoreMetrics MeteredObjectStore::metrics() const {
   snapshot.bytes_written = bytes_written_->Value();
   snapshot.simulated_micros =
       static_cast<uint64_t>(simulated_micros_->Value());
+  snapshot.request_micros = static_cast<uint64_t>(request_micros_->Value());
   snapshot.credits = credits_->Value();
   return snapshot;
 }
@@ -50,13 +52,19 @@ void MeteredObjectStore::ResetMetrics() {
   bytes_read_->Reset();
   bytes_written_->Reset();
   simulated_micros_->Reset();
+  request_micros_->Reset();
   credits_->Reset();
 }
 
 void MeteredObjectStore::Charge(StoreOp op, uint64_t nbytes) const {
-  uint64_t micros = latency_.MicrosFor(op, nbytes);
+  uint64_t micros = Count(op, nbytes);
   clock_->AdvanceMicros(micros);
   simulated_micros_->Increment(static_cast<int64_t>(micros));
+}
+
+uint64_t MeteredObjectStore::Count(StoreOp op, uint64_t nbytes) const {
+  uint64_t micros = latency_.MicrosFor(op, nbytes);
+  request_micros_->Increment(static_cast<int64_t>(micros));
   switch (op) {
     case StoreOp::kGet:
       gets_->Increment();
@@ -80,6 +88,7 @@ void MeteredObjectStore::Charge(StoreOp op, uint64_t nbytes) const {
       deletes_->Increment();
       break;
   }
+  return micros;
 }
 
 Status MeteredObjectStore::Put(const std::string& key, Bytes data) {
@@ -91,6 +100,21 @@ Result<Bytes> MeteredObjectStore::Get(const std::string& key) const {
   Result<Bytes> result = base_->Get(key);
   Charge(StoreOp::kGet, result.ok() ? result->size() : 0);
   return result;
+}
+
+std::vector<Result<Bytes>> MeteredObjectStore::GetMany(
+    const std::vector<std::string>& keys) const {
+  std::vector<Result<Bytes>> results = base_->GetMany(keys);
+  std::vector<uint64_t> sizes;
+  sizes.reserve(results.size());
+  for (const auto& result : results) {
+    sizes.push_back(result.ok() ? result->size() : 0);
+    Count(StoreOp::kGet, sizes.back());
+  }
+  uint64_t makespan = latency_.GetBatchMakespan(sizes);
+  clock_->AdvanceMicros(makespan);
+  simulated_micros_->Increment(static_cast<int64_t>(makespan));
+  return results;
 }
 
 Result<uint64_t> MeteredObjectStore::Head(const std::string& key) const {

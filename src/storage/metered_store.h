@@ -25,8 +25,13 @@ struct StoreMetrics {
   int64_t deletes = 0;
   int64_t bytes_read = 0;
   int64_t bytes_written = 0;
-  /// Total modeled latency charged to the clock, microseconds.
+  /// Total modeled latency charged to the clock, microseconds. A batch
+  /// (GetMany) is charged its makespan, so this is at most
+  /// request_micros.
   uint64_t simulated_micros = 0;
+  /// Sum of every request's own modeled latency, microseconds; minus
+  /// simulated_micros, it is the I/O time batching overlapped.
+  uint64_t request_micros = 0;
   /// Accumulated scan credits (cost model).
   double credits = 0.0;
 
@@ -60,6 +65,11 @@ class MeteredObjectStore : public ObjectStore {
 
   Status Put(const std::string& key, Bytes data) override;
   Result<Bytes> Get(const std::string& key) const override;
+  /// Charges each request's counters as Get does (a failed key as a
+  /// 0-byte GET), then advances the clock once, by the batch's makespan
+  /// over LatencyModel::kGetConnections connections.
+  std::vector<Result<Bytes>> GetMany(
+      const std::vector<std::string>& keys) const override;
   Result<uint64_t> Head(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   Result<std::vector<ObjectMeta>> List(
@@ -75,6 +85,10 @@ class MeteredObjectStore : public ObjectStore {
   const std::string& metric_prefix() const { return metric_prefix_; }
 
  private:
+  /// Charges one request's counters, credits and request_micros; the
+  /// clock is left to the caller. Returns the request's latency.
+  uint64_t Count(StoreOp op, uint64_t nbytes) const;
+  /// Count + advancing the clock by that one request.
   void Charge(StoreOp op, uint64_t nbytes) const;
 
   ObjectStore* base_;
@@ -91,6 +105,7 @@ class MeteredObjectStore : public ObjectStore {
   observability::Counter* bytes_read_;
   observability::Counter* bytes_written_;
   observability::Counter* simulated_micros_;
+  observability::Counter* request_micros_;
   observability::DoubleCounter* credits_;
 };
 

@@ -10,6 +10,14 @@ namespace bauplan::storage {
 
 namespace fs = std::filesystem;
 
+std::vector<Result<Bytes>> ObjectStore::GetMany(
+    const std::vector<std::string>& keys) const {
+  std::vector<Result<Bytes>> results;
+  results.reserve(keys.size());
+  for (const auto& key : keys) results.push_back(Get(key));
+  return results;
+}
+
 // ------------------------------------------------------ MemoryObjectStore
 
 Status MemoryObjectStore::Put(const std::string& key, Bytes data) {

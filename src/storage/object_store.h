@@ -29,6 +29,11 @@ class ObjectStore {
 
   virtual Status Put(const std::string& key, Bytes data) = 0;
   virtual Result<Bytes> Get(const std::string& key) const = 0;
+  /// Fetches `keys` as one batch of concurrent GETs (a scan's manifests,
+  /// or its data files); results are in key order, and a failed key
+  /// fails only its own slot. The default issues one Get per key.
+  virtual std::vector<Result<Bytes>> GetMany(
+      const std::vector<std::string>& keys) const;
   /// Size of the object without fetching it (S3 HEAD).
   virtual Result<uint64_t> Head(const std::string& key) const = 0;
   virtual Status Delete(const std::string& key) = 0;

@@ -324,8 +324,11 @@ Result<ScanPlan> TableOps::PlanScan(const TableMetadata& metadata,
     BAUPLAN_ASSIGN_OR_RETURN(snapshot, metadata.CurrentSnapshot());
   }
 
-  for (const auto& manifest_key : snapshot.manifest_keys) {
-    BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, store_->Get(manifest_key));
+  // All manifests in one batch of concurrent GETs; the first failure in
+  // manifest order wins.
+  std::vector<Result<Bytes>> images = store_->GetMany(snapshot.manifest_keys);
+  for (auto& image : images) {
+    BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, std::move(image));
     BAUPLAN_ASSIGN_OR_RETURN(Manifest manifest,
                              Manifest::Deserialize(bytes));
     for (auto& file : manifest.files) {
@@ -378,13 +381,14 @@ Result<columnar::Table> TableOps::ReadScan(const TableMetadata& metadata,
   BAUPLAN_ASSIGN_OR_RETURN(columnar::Schema out_schema,
                            metadata.schema.Select(out_columns));
 
-  // Phase 1: fetch payloads serially, so the metered store's latency
-  // accounting stays well-defined on the (single-threaded) sim clock.
-  std::vector<Bytes> payloads;
-  payloads.reserve(plan.files.size());
-  for (const auto& file : plan.files) {
-    BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, store_->Get(file.path));
-    payloads.push_back(std::move(bytes));
+  // Phase 1: fetch every planned file in one batch of concurrent GETs;
+  // the first failure in file order wins.
+  std::vector<std::string> paths;
+  paths.reserve(plan.files.size());
+  for (const auto& file : plan.files) paths.push_back(file.path);
+  std::vector<Result<Bytes>> payloads = store_->GetMany(paths);
+  for (const auto& payload : payloads) {
+    BAUPLAN_RETURN_NOT_OK(payload.status());
   }
 
   // Decoding one payload is pure CPU and touches no shared state, so it
@@ -433,7 +437,7 @@ Result<columnar::Table> TableOps::ReadScan(const TableMetadata& metadata,
                               static_cast<int>(payloads.size()));
   if (threads <= 1) {
     for (size_t i = 0; i < payloads.size(); ++i) {
-      decoded[i] = decode(std::move(payloads[i]));
+      decoded[i] = decode(std::move(payloads[i]).ValueOrDie());
     }
   } else {
     std::atomic<size_t> next{0};
@@ -444,7 +448,7 @@ Result<columnar::Table> TableOps::ReadScan(const TableMetadata& metadata,
         while (true) {
           size_t i = next.fetch_add(1);
           if (i >= payloads.size()) return;
-          decoded[i] = decode(std::move(payloads[i]));
+          decoded[i] = decode(std::move(payloads[i]).ValueOrDie());
         }
       });
     }

@@ -28,8 +28,8 @@ struct ScanOptions {
   std::vector<format::ColumnPredicate> predicates;
   /// Decode data files on this many threads (the paper's section 5 lists
   /// "parallelizing SQL execution" as future work; file decode is the
-  /// engine's dominant CPU cost at Reasonable Scale). Fetch stays serial
-  /// so the simulated-latency accounting is unchanged; 1 = sequential.
+  /// engine's dominant CPU cost at Reasonable Scale). Fetching is one
+  /// batched GetMany whatever this is; 1 = sequential decode.
   int decode_threads = 1;
 };
 
@@ -121,13 +121,15 @@ class TableOps {
   // -- reads ----------------------------------------------------------
 
   /// Chooses the files a scan must read, pruning by partition values and
-  /// column statistics without touching data objects.
+  /// column statistics without touching data objects. The snapshot's
+  /// manifests are fetched as one GetMany batch.
   Result<ScanPlan> PlanScan(const TableMetadata& metadata,
                             const ScanOptions& options) const;
 
-  /// Executes a planned scan: fetches surviving files, applies row-group
-  /// skipping inside each, projects, fills evolved columns with nulls, and
-  /// concatenates. Row-level filtering is the engine's job.
+  /// Executes a planned scan: fetches surviving files (one GetMany
+  /// batch), applies row-group skipping inside each, projects, fills
+  /// evolved columns with nulls, and concatenates. Row-level filtering is
+  /// the engine's job.
   Result<columnar::Table> ReadScan(const TableMetadata& metadata,
                                    const ScanPlan& plan,
                                    const ScanOptions& options) const;

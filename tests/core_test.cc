@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <mutex>
 #include <set>
 #include <utility>
@@ -739,6 +740,72 @@ TEST_F(PublishTest, QueryAndReplayAtACommitIdProbeNoRefs) {
   EXPECT_EQ(CountPrefix(calls, "HEAD "), 0u);
   // Neither one writes a ref.
   EXPECT_EQ(CountPrefix(calls, "PUT catalog/refs/"), 0u);
+}
+
+size_t CountExact(const std::vector<std::string>& calls,
+                  const std::string& call) {
+  return static_cast<size_t>(std::count(calls.begin(), calls.end(), call));
+}
+
+TEST_F(PublishTest, QueryAtACommitIdReadsTheCommitOnceOnAMiss) {
+  const std::string head = MainHead();
+  const std::string sql = "SELECT COUNT(*) AS n FROM taxi_table";
+  TakeCalls();
+  auto miss = platform().Query(sql, head);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  EXPECT_FALSE(miss->from_cache);
+  std::vector<std::string> calls = TakeCalls();
+  EXPECT_EQ(CountExact(calls, "GET catalog/commits/" + head), 1u);
+  EXPECT_EQ(CountPrefix(calls, "GET catalog/"), 1u);
+
+  // main is at the same commit, so a query on the branch hits the cache:
+  // one ref read and no other read.
+  auto hit = platform().Query(sql, "main");
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(hit->from_cache);
+  calls = TakeCalls();
+  EXPECT_EQ(CountPrefix(calls, "GET "), 1u);
+  EXPECT_EQ(CountExact(calls, "GET catalog/refs/branch/main"), 1u);
+
+  // An unknown commit id fails after the same single read.
+  const std::string unknown = "0123456789abcdef";
+  auto missing = platform().Query(sql, unknown);
+  EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
+  calls = TakeCalls();
+  EXPECT_EQ(CountPrefix(calls, "GET "), 1u);
+  EXPECT_EQ(CountExact(calls, "GET catalog/commits/" + unknown), 1u);
+}
+
+TEST_F(PublishTest, QueryLoadsItsTableMetadataOnce) {
+  auto metadata_key =
+      platform().mutable_catalog()->GetTable("main", "taxi_table");
+  ASSERT_TRUE(metadata_key.ok());
+  TakeCalls();
+  // The planner's schema lookup and the scan share one metadata load.
+  auto query = platform().Query(
+      "SELECT pickup_location_id, COUNT(*) AS n FROM taxi_table "
+      "WHERE passenger_count >= 1 GROUP BY pickup_location_id",
+      "main");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EXPECT_EQ(CountExact(TakeCalls(), "GET " + *metadata_key), 1u);
+}
+
+TEST_F(PublishTest, PreflightLoadsEachTableMetadataOnce) {
+  TakeCalls();
+  auto checked =
+      platform().Check(pipeline::MakeWideTaxiPipeline(4), "main");
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  std::map<std::string, size_t> metadata_gets;
+  for (const auto& call : TakeCalls()) {
+    if (call.rfind("GET ", 0) == 0 && call.size() > 5 &&
+        call.compare(call.size() - 5, 5, ".meta") == 0) {
+      ++metadata_gets[call];
+    }
+  }
+  EXPECT_FALSE(metadata_gets.empty());
+  for (const auto& [call, count] : metadata_gets) {
+    EXPECT_EQ(count, 1u) << call;
+  }
 }
 
 TEST_F(PublishTest, PublishingCostDoesNotGrowWithArtifactCount) {

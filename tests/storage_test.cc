@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
@@ -64,6 +65,19 @@ TEST_P(ObjectStoreContract, HeadReportsSizeWithoutData) {
   EXPECT_FALSE(store_->Head("missing").ok());
   EXPECT_TRUE(store_->Exists("k"));
   EXPECT_FALSE(store_->Exists("missing"));
+}
+
+TEST_P(ObjectStoreContract, GetManyKeepsKeyOrderAndFailsPerKey) {
+  ASSERT_TRUE(store_->Put("a", Blob("first")).ok());
+  ASSERT_TRUE(store_->Put("b", Blob("second")).ok());
+  auto results = store_->GetMany({"b", "missing", "a"});
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_TRUE(results[0].ok());
+  EXPECT_EQ(*results[0], Blob("second"));
+  EXPECT_TRUE(results[1].status().IsNotFound());
+  ASSERT_TRUE(results[2].ok());
+  EXPECT_EQ(*results[2], Blob("first"));
+  EXPECT_TRUE(store_->GetMany({}).empty());
 }
 
 TEST_P(ObjectStoreContract, DeleteRemoves) {
@@ -203,6 +217,140 @@ TEST(MeteredStoreTest, ListAndHeadCharged) {
   EXPECT_GE(clock.NowMicros(),
             model.put_first_byte_micros + model.list_micros +
                 model.head_micros);
+}
+
+// ------------------------------------------------------------ Batched GETs
+
+TEST(LatencyModelTest, BatchMakespanFillsTheEarliestFreeConnection) {
+  LatencyModel model;
+  uint64_t small = model.MicrosFor(StoreOp::kGet, 1000);
+  uint64_t big = model.MicrosFor(StoreOp::kGet, 9ull * 1000 * 1000);
+  EXPECT_EQ(model.GetBatchMakespan({}), 0u);
+  EXPECT_EQ(model.GetBatchMakespan({1000}), small);
+  // The big request holds connection 0; the ninth small one queues
+  // behind a small one, never behind the big one.
+  std::vector<uint64_t> sizes(9, 1000);
+  sizes[0] = 9ull * 1000 * 1000;
+  EXPECT_EQ(model.GetBatchMakespan(sizes), std::max(big, 2 * small));
+  // Requests queue in order: the big one last lands on the connection
+  // that frees first.
+  sizes.assign(8, 1000);
+  sizes.push_back(9ull * 1000 * 1000);
+  EXPECT_EQ(model.GetBatchMakespan(sizes), small + big);
+}
+
+/// A metered store on S3-class latency; objects are seeded straight into
+/// the base, so only the calls under test are charged.
+struct MeteredBatch {
+  MemoryObjectStore base;
+  SimClock clock;
+  LatencyModel model;
+  MeteredObjectStore store{&base, &clock, model};
+
+  /// Seeds `count` objects of `size` bytes; returns their keys.
+  std::vector<std::string> Seed(int count, size_t size) {
+    std::vector<std::string> keys;
+    for (int i = 0; i < count; ++i) {
+      keys.push_back("obj/" + std::to_string(i));
+      EXPECT_TRUE(base.Put(keys.back(), Bytes(size, 1)).ok());
+    }
+    return keys;
+  }
+};
+
+TEST(MeteredStoreBatchTest, EqualGetsCostOneGetPerEightConnections) {
+  MeteredBatch one;
+  ASSERT_TRUE(one.store.Get(one.Seed(1, 100000)[0]).ok());
+  const uint64_t single = one.clock.NowMicros();
+  ASSERT_GT(single, 0u);
+
+  MeteredBatch eight;
+  auto results = eight.store.GetMany(eight.Seed(8, 100000));
+  for (const auto& r : results) ASSERT_TRUE(r.ok());
+  EXPECT_EQ(eight.clock.NowMicros(), single);
+
+  MeteredBatch sixteen;
+  results = sixteen.store.GetMany(sixteen.Seed(16, 100000));
+  for (const auto& r : results) ASSERT_TRUE(r.ok());
+  EXPECT_EQ(sixteen.clock.NowMicros(), 2 * single);
+  EXPECT_EQ(sixteen.store.metrics().simulated_micros, 2 * single);
+  EXPECT_EQ(sixteen.store.metrics().request_micros, 16 * single);
+}
+
+TEST(MeteredStoreBatchTest, OneKeyBatchIsExactlyAGet) {
+  MeteredBatch get;
+  MeteredBatch batch;
+  auto got = get.store.Get(get.Seed(1, 4321)[0]);
+  auto many = batch.store.GetMany(batch.Seed(1, 4321));
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(many.size(), 1u);
+  ASSERT_TRUE(many[0].ok());
+  EXPECT_EQ(*many[0], *got);
+  EXPECT_EQ(batch.clock.NowMicros(), get.clock.NowMicros());
+  StoreMetrics a = get.store.metrics();
+  StoreMetrics b = batch.store.metrics();
+  EXPECT_EQ(b.gets, a.gets);
+  EXPECT_EQ(b.bytes_read, a.bytes_read);
+  EXPECT_EQ(b.simulated_micros, a.simulated_micros);
+  EXPECT_EQ(b.request_micros, a.request_micros);
+  EXPECT_EQ(b.credits, a.credits);
+  EXPECT_EQ(b.TotalRequests(), a.TotalRequests());
+}
+
+TEST(MeteredStoreBatchTest, EmptyBatchChargesNothing) {
+  MeteredBatch batch;
+  EXPECT_TRUE(batch.store.GetMany({}).empty());
+  EXPECT_EQ(batch.clock.NowMicros(), 0u);
+  EXPECT_EQ(batch.store.metrics().TotalRequests(), 0);
+  EXPECT_EQ(batch.store.metrics().simulated_micros, 0u);
+  EXPECT_EQ(batch.store.metrics().credits, 0.0);
+}
+
+TEST(MeteredStoreBatchTest, MissingKeyFailsOnlyItsOwnSlot) {
+  MeteredBatch batch;
+  std::vector<std::string> keys = batch.Seed(3, 500);
+  keys.insert(keys.begin() + 1, "obj/missing");
+  auto results = batch.store.GetMany(keys);
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_TRUE(results[1].status().IsNotFound());
+  for (size_t i : {0u, 2u, 3u}) {
+    ASSERT_TRUE(results[i].ok()) << i;
+    EXPECT_EQ(*results[i], Bytes(500, 1));
+  }
+  // The failed key is charged as a 0-byte GET.
+  EXPECT_EQ(batch.store.metrics().gets, 4);
+  EXPECT_EQ(batch.store.metrics().bytes_read, 1500);
+  EXPECT_EQ(batch.store.metrics().request_micros,
+            3 * batch.model.MicrosFor(StoreOp::kGet, 500) +
+                batch.model.MicrosFor(StoreOp::kGet, 0));
+}
+
+TEST(MeteredStoreBatchTest, CountersMatchTheSameGetsIssuedOneByOne) {
+  MeteredBatch serial;
+  MeteredBatch batch;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 11; ++i) {
+    keys.push_back("obj/" + std::to_string(i));
+    Bytes blob(static_cast<size_t>(1000 + 250000 * (i % 4)), 2);
+    ASSERT_TRUE(serial.base.Put(keys.back(), blob).ok());
+    ASSERT_TRUE(batch.base.Put(keys.back(), blob).ok());
+  }
+  for (const auto& key : keys) ASSERT_TRUE(serial.store.Get(key).ok());
+  for (const auto& r : batch.store.GetMany(keys)) ASSERT_TRUE(r.ok());
+  StoreMetrics a = serial.store.metrics();
+  StoreMetrics b = batch.store.metrics();
+  EXPECT_EQ(b.gets, a.gets);
+  EXPECT_EQ(b.bytes_read, a.bytes_read);
+  EXPECT_DOUBLE_EQ(b.credits, a.credits);
+  EXPECT_EQ(b.request_micros, a.request_micros);
+  // Serially, what is charged is every request; batched, the makespan.
+  EXPECT_EQ(a.simulated_micros, a.request_micros);
+  EXPECT_EQ(a.simulated_micros, serial.clock.NowMicros());
+  EXPECT_EQ(b.simulated_micros, batch.clock.NowMicros());
+  std::vector<uint64_t> sizes;
+  for (int i = 0; i < 11; ++i) sizes.push_back(1000 + 250000 * (i % 4));
+  EXPECT_EQ(b.simulated_micros, batch.model.GetBatchMakespan(sizes));
+  EXPECT_LT(b.simulated_micros, a.simulated_micros);
 }
 
 }  // namespace

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -6,7 +7,11 @@
 #include "columnar/builder.h"
 #include "columnar/datetime.h"
 #include "columnar/table.h"
+#include "columnar/serialize.h"
 #include "common/clock.h"
+#include "storage/fault_injection_store.h"
+#include "storage/latency_model.h"
+#include "storage/metered_store.h"
 #include "storage/object_store.h"
 #include "table/metadata.h"
 #include "table/partition.h"
@@ -499,6 +504,125 @@ TEST_F(TableOpsTest, ParallelDecodeWithPredicatesAndProjection) {
 
 TEST_F(TableOpsTest, LoadMissingMetadataFails) {
   EXPECT_FALSE(ops_.LoadMetadata("nope").ok());
+}
+
+// ------------------------------------------------------- batched fetch
+
+/// A month-partitioned table with seven appends of one month each: seven
+/// manifests, seven data files. Returns its metadata key.
+std::string SevenFileTable(TableOps* ops) {
+  PartitionSpec spec({{"pickup_at", Transform::kMonth, 0}});
+  std::string key = *ops->CreateTable("trips", TripSchema(), spec);
+  const char* months[] = {"2019-01-01", "2019-02-01", "2019-03-01",
+                          "2019-04-01", "2019-05-01", "2019-06-01",
+                          "2019-07-01"};
+  int64_t first_id = 0;
+  for (const char* month : months) {
+    key = *ops->Append(key, MakeTrips(100 + first_id / 10, month, first_id));
+    first_id += 1000;
+  }
+  return key;
+}
+
+TEST(BatchedScanTest, ManifestsThenFilesAreTwoConcurrentBatches) {
+  storage::MemoryObjectStore base;
+  SimClock clock(1000000);
+  storage::LatencyModel model;
+  storage::MeteredObjectStore store(&base, &clock, model);
+  TableOps ops(&store, &clock);
+  std::string key = SevenFileTable(&ops);
+  TableMetadata metadata = *ops.LoadMetadata(key);
+  Snapshot snapshot = *metadata.CurrentSnapshot();
+  ASSERT_EQ(snapshot.manifest_keys.size(), 7u);
+
+  store.ResetMetrics();
+  uint64_t start = clock.NowMicros();
+  ScanPlan plan;
+  auto scanned = ops.ScanTable(key, {}, &plan);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ(plan.files.size(), 7u);
+  // Seven requests fit on the eight connections, so each batch costs its
+  // slowest request.
+  uint64_t slowest_manifest = 0;
+  for (const auto& manifest_key : snapshot.manifest_keys) {
+    slowest_manifest =
+        std::max(slowest_manifest,
+                 model.MicrosFor(storage::StoreOp::kGet,
+                                 *base.Head(manifest_key)));
+  }
+  uint64_t slowest_file = 0;
+  for (const auto& file : plan.files) {
+    slowest_file = std::max(
+        slowest_file,
+        model.MicrosFor(storage::StoreOp::kGet, file.file_size_bytes));
+  }
+  uint64_t metadata_get =
+      model.MicrosFor(storage::StoreOp::kGet, *base.Head(key));
+  EXPECT_EQ(clock.NowMicros() - start,
+            metadata_get + slowest_manifest + slowest_file);
+  EXPECT_EQ(store.metrics().gets, 15);
+  EXPECT_EQ(store.metrics().simulated_micros, clock.NowMicros() - start);
+  EXPECT_GT(store.metrics().request_micros,
+            store.metrics().simulated_micros);
+}
+
+TEST(BatchedScanTest, BatchedScanIsByteIdenticalToPerFileGets) {
+  // The plain store fetches a batch one Get at a time; the metered one
+  // charges it as a concurrent batch. The scanned bytes must not differ,
+  // whatever the decode threads, projection or predicates.
+  storage::MemoryObjectStore base;
+  SimClock clock(1000000);
+  storage::MeteredObjectStore metered(&base, &clock,
+                                      storage::LatencyModel());
+  TableOps plain_ops(&base, &clock);
+  TableOps batched_ops(&metered, &clock);
+  std::string key = SevenFileTable(&plain_ops);
+  std::vector<ScanOptions> variants(3);
+  variants[1].decode_threads = 4;
+  variants[2].decode_threads = 3;
+  variants[2].columns = {"zone", "trip_id"};
+  variants[2].predicates = {
+      {"pickup_at", CompareOp::kGe,
+       Value::Timestamp(*ParseTimestampString("2019-03-01"))}};
+  for (const auto& options : variants) {
+    auto plain = plain_ops.ScanTable(key, options);
+    auto batched = batched_ops.ScanTable(key, options);
+    ASSERT_TRUE(plain.ok() && batched.ok());
+    EXPECT_GT(batched->num_rows(), 0);
+    EXPECT_EQ(columnar::SerializeTable(*batched),
+              columnar::SerializeTable(*plain));
+  }
+}
+
+TEST(BatchedScanTest, FailedThirdDataFileFailsTheScanTheSameWayEveryTime) {
+  storage::MemoryObjectStore base;
+  storage::FaultInjectionStore faults(&base);
+  SimClock clock(1000000);
+  storage::MeteredObjectStore store(&faults, &clock,
+                                    storage::LatencyModel());
+  TableOps ops(&store, &clock);
+  std::string key = SevenFileTable(&ops);
+  TableMetadata metadata = *ops.LoadMetadata(key);
+  ScanPlan plan = *ops.PlanScan(metadata, {});
+  ASSERT_EQ(plan.files.size(), 7u);
+
+  std::string first_error;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    faults.FailOnlyPrefix("lake/trips/data/");
+    faults.FailAfter(2);  // the third data-file GET, and every later one
+    auto scanned = ops.ScanTable(key);
+    faults.Heal();
+    ASSERT_FALSE(scanned.ok());
+    const std::string error = scanned.status().ToString();
+    EXPECT_NE(error.find("injected fault on GET '" + plan.files[2].path +
+                         "'"),
+              std::string::npos)
+        << error;
+    if (attempt == 0) first_error = error;
+    EXPECT_EQ(error, first_error);
+  }
+  // Healed, the same scan succeeds.
+  EXPECT_TRUE(ops.ScanTable(key).ok());
 }
 
 }  // namespace
