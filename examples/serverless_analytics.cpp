@@ -14,6 +14,7 @@
 #include "runtime/scheduler.h"
 #include "runtime/spark_model.h"
 
+using bauplan::ForkableClock;
 using bauplan::FormatDurationMicros;
 using bauplan::Rng;
 using bauplan::SimClock;
@@ -21,10 +22,13 @@ using namespace bauplan::runtime;  // example code; library code never does this
 
 int main() {
   SimClock clock;
-  PackageCache cache(&clock, PackageCache::Options{});
-  ContainerManager containers(&clock, &cache);
-  Scheduler scheduler(&clock, Scheduler::Options{});
-  ServerlessExecutor executor(&clock, &containers, &scheduler);
+  // The substrate runs on a forkable view of the clock: sequential calls
+  // pass straight through, concurrent waves fork it per function.
+  ForkableClock run_clock(&clock);
+  PackageCache cache(&run_clock, PackageCache::Options{});
+  ContainerManager containers(&run_clock, &cache);
+  Scheduler scheduler(&run_clock, Scheduler::Options{});
+  ServerlessExecutor executor(&run_clock, &containers, &scheduler);
 
   // --- container lifecycle ------------------------------------------
   ContainerSpec pandas_env;

@@ -16,7 +16,7 @@ Bauplan::Bauplan(storage::ObjectStore* base_store, Clock* clock,
   // straight through to the caller's clock, while wavefront execution
   // gives each concurrent function body its own virtual timeline.
   fork_clock_ = std::make_unique<ForkableClock>(clock);
-  Clock* run_clock = fork_clock_.get();
+  ForkableClock* run_clock = fork_clock_.get();
   // One registry + tracer for the whole platform: components below
   // register their counters here, and the runner / query path stamp
   // spans from the forkable clock so wavefront traces stay
@@ -61,7 +61,7 @@ Result<std::unique_ptr<Bauplan>> Bauplan::Open(
     BauplanOptions options) {
   std::unique_ptr<Bauplan> platform(
       new Bauplan(base_store, clock, std::move(options)));
-  Clock* run_clock = platform->fork_clock_.get();
+  ForkableClock* run_clock = platform->fork_clock_.get();
   BAUPLAN_ASSIGN_OR_RETURN(
       catalog::Catalog catalog,
       catalog::Catalog::Open(platform->lake_store_.get(), run_clock));
@@ -333,18 +333,13 @@ Status Bauplan::MaterializeArtifacts(const RunReport& execution,
   auto write = [&](size_t i) {
     written[i] = WriteArtifact(table_ops_.get(), pinned, names[i], *data[i]);
   };
-  if (fork_clock_->ForkActive()) {
-    // Nested inside a forked timeline: write one after another.
-    for (size_t i = 0; i < names.size(); ++i) write(i);
-  } else {
-    // One write wave: every artifact starts at the same instant on its
-    // own fork, and the run waits for the slowest.
-    std::vector<uint64_t> elapsed = fork_clock_->RunForked(
-        std::vector<uint64_t>(names.size(), fork_clock_->NowMicros()),
-        kWriteWaveThreads, write);
-    fork_clock_->AdvanceMicros(
-        *std::max_element(elapsed.begin(), elapsed.end()));
-  }
+  // One write wave: every artifact starts at the same instant on its own
+  // fork, and the run waits for the slowest.
+  std::vector<uint64_t> elapsed = fork_clock_->RunForked(
+      std::vector<uint64_t>(names.size(), fork_clock_->NowMicros()),
+      kWriteWaveThreads, write);
+  fork_clock_->AdvanceMicros(
+      *std::max_element(elapsed.begin(), elapsed.end()));
 
   // Nothing is committed unless every write landed; the error is the
   // first failure in artifact-name order, whichever thread hit it first.

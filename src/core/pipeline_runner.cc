@@ -91,6 +91,37 @@ int64_t EstimateCatalogArtifactBytes(const catalog::PinnedTables& tables,
   return snapshot->total_records * row_width;
 }
 
+/// Completes `node` (name and kind already set) from a cache hit: a SQL
+/// node's table joins the run's artifacts, an expectation node replays
+/// its recorded outcome.
+void ApplyCacheHit(cache::CachedArtifact hit, NodeExecution* node,
+                   RunReport* report) {
+  node->cache_hit = true;
+  node->output_rows = hit.output_rows;
+  if (node->kind == NodeKind::kSqlModel) {
+    report->artifacts[node->name] = std::move(hit.table);
+  } else {
+    node->expectation_passed = hit.expectation_passed;
+    node->details = std::move(hit.details);
+    if (!hit.expectation_passed) report->all_expectations_passed = false;
+  }
+}
+
+/// Audits expectation `node` against its target table as `source` sees
+/// it, recording the outcome in `node_report`.
+Status RunExpectation(const PipelineNode& node, sql::TableSource& source,
+                      NodeExecution* node_report) {
+  BAUPLAN_ASSIGN_OR_RETURN(std::string target, node.ExpectationTarget());
+  BAUPLAN_ASSIGN_OR_RETURN(expectations::Expectation expectation,
+                           expectations::ParseExpectation(node.code));
+  BAUPLAN_ASSIGN_OR_RETURN(Table table, source.ScanTable(target, {}, {}));
+  BAUPLAN_ASSIGN_OR_RETURN(auto outcome, expectation.Check(table));
+  node_report->expectation_passed = outcome.passed;
+  node_report->details = outcome.details;
+  node_report->output_rows = table.num_rows();
+  return Status::OK();
+}
+
 }  // namespace
 
 runtime::ContainerSpec PipelineRunner::SpecForNode(
@@ -155,14 +186,9 @@ Result<RunReport> PipelineRunner::Execute(
           ? ExecuteFused(dag, tables, SelectOrAll(dag, options.selected),
                          options.exec, options.trim_unused_columns,
                          keys_ptr, run_span)
-          : (options.parallelism > 1
-                 ? ExecuteParallelNaive(dag, tables,
-                                        SelectOrAll(dag, options.selected),
-                                        options.exec, options.parallelism,
-                                        keys_ptr, run_span)
-                 : ExecuteNaive(dag, tables,
-                                SelectOrAll(dag, options.selected),
-                                options.exec, keys_ptr, run_span));
+          : ExecuteNaive(dag, tables, SelectOrAll(dag, options.selected),
+                         options.exec, options.parallelism, keys_ptr,
+                         run_span);
 
   // Memoize what this run actually computed — post-audit only: a run
   // with a failing expectation vouches for nothing.
@@ -264,21 +290,13 @@ Result<RunReport> PipelineRunner::ExecuteFused(
           hit = cache_->Lookup(keys->Find(name));
         }
         if (hit.has_value()) {
-          node_report.cache_hit = true;
-          node_report.output_rows = hit->output_rows;
           if (node.kind == NodeKind::kSqlModel) {
             ScopedSpan mat(tracer_, name,
                            observability::span_kind::kCacheMaterialize,
                            fused_span);
-            report.artifacts[name] = hit->table;
-            source.AddOverlayTable(name, std::move(hit->table));
-          } else {
-            node_report.expectation_passed = hit->expectation_passed;
-            node_report.details = hit->details;
-            if (!hit->expectation_passed) {
-              report.all_expectations_passed = false;
-            }
+            source.AddOverlayTable(name, hit->table);
           }
+          ApplyCacheHit(std::move(*hit), &node_report, &report);
           report.nodes.push_back(std::move(node_report));
           continue;
         }
@@ -304,19 +322,10 @@ Result<RunReport> PipelineRunner::ExecuteFused(
         ScopedSpan exp_span(tracer_, name,
                             observability::span_kind::kExpectation,
                             fused_span);
-        BAUPLAN_ASSIGN_OR_RETURN(std::string target,
-                                 node.ExpectationTarget());
-        BAUPLAN_ASSIGN_OR_RETURN(
-            expectations::Expectation expectation,
-            expectations::ParseExpectation(node.code));
-        BAUPLAN_ASSIGN_OR_RETURN(Table table,
-                                 source.ScanTable(target, {}, {}));
-        BAUPLAN_ASSIGN_OR_RETURN(auto outcome,
-                                 expectation.Check(table));
-        node_report.expectation_passed = outcome.passed;
-        node_report.details = outcome.details;
-        node_report.output_rows = table.num_rows();
-        if (!outcome.passed) report.all_expectations_passed = false;
+        BAUPLAN_RETURN_NOT_OK(RunExpectation(node, source, &node_report));
+        if (!node_report.expectation_passed) {
+          report.all_expectations_passed = false;
+        }
       }
       report.nodes.push_back(std::move(node_report));
     }
@@ -449,18 +458,8 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
       ScopedSpan exp_span(tracer_, name,
                           observability::span_kind::kExpectation,
                           node_span);
-      BAUPLAN_ASSIGN_OR_RETURN(std::string target,
-                               node.ExpectationTarget());
-      BAUPLAN_ASSIGN_OR_RETURN(
-          expectations::Expectation expectation,
-          expectations::ParseExpectation(node.code));
-      BAUPLAN_ASSIGN_OR_RETURN(Table table,
-                               inputs.ScanTable(target, {}, {}));
-      BAUPLAN_ASSIGN_OR_RETURN(auto outcome, expectation.Check(table));
-      node_report->expectation_passed = outcome.passed;
-      node_report->details = outcome.details;
-      node_report->output_rows = table.num_rows();
-      if (!outcome.passed) {
+      BAUPLAN_RETURN_NOT_OK(RunExpectation(node, inputs, node_report));
+      if (!node_report->expectation_passed) {
         std::lock_guard<std::mutex> lock(ctx.mu);
         ctx.report->all_expectations_passed = false;
       }
@@ -508,19 +507,9 @@ bool PipelineRunner::TryServeFromCache(
 
   node_report->name = name;
   node_report->kind = node.kind;
-  node_report->cache_hit = true;
-  node_report->output_rows = hit->output_rows;
   {
     std::lock_guard<std::mutex> lock(ctx.mu);
-    if (node.kind == NodeKind::kSqlModel) {
-      ctx.report->artifacts[name] = std::move(hit->table);
-    } else {
-      node_report->expectation_passed = hit->expectation_passed;
-      node_report->details = hit->details;
-      if (!hit->expectation_passed) {
-        ctx.report->all_expectations_passed = false;
-      }
-    }
+    ApplyCacheHit(std::move(*hit), node_report, ctx.report);
   }
   if (skipped_invocations_ != nullptr) skipped_invocations_->Increment();
   return true;
@@ -550,62 +539,6 @@ void PipelineRunner::InsertFreshArtifacts(
 Result<RunReport> PipelineRunner::ExecuteNaive(
     const Dag& dag, const catalog::PinnedTables& tables,
     const std::vector<std::string>& selected,
-    const sql::ExecOptions& exec, const cache::NodeFingerprints* keys,
-    uint64_t run_span) {
-  RunReport report;
-  uint64_t start = clock_->NowMicros();
-
-  internal::NaiveRunContext ctx;
-  ctx.dag = &dag;
-  ctx.tables = &tables;
-  ctx.selected_set = std::set<std::string>(selected.begin(),
-                                           selected.end());
-  ctx.exec = exec;
-  ctx.report = &report;
-
-  for (const auto& name : dag.execution_order()) {
-    if (ctx.selected_set.count(name) == 0) continue;
-    NodeExecution node_report;
-    // Sequential walk: the node span brackets the whole invocation
-    // (placement, startup, body) on the shared clock.
-    uint64_t node_span = 0;
-    if (tracer_ != nullptr) {
-      node_span = tracer_->StartSpan(
-          name, observability::span_kind::kNode, run_span);
-    }
-    if (TryServeFromCache(ctx, keys, name,
-                          HasSelectedConsumer(dag, ctx.selected_set,
-                                              name),
-                          &node_report, node_span)) {
-      if (tracer_ != nullptr) {
-        tracer_->AddAttribute(node_span, "cache_hit", "true");
-        tracer_->EndSpan(node_span);
-      }
-      report.nodes.push_back(std::move(node_report));
-      continue;
-    }
-    runtime::FunctionRequest request =
-        BuildNaiveRequest(ctx, name, &node_report, node_span);
-    Result<runtime::InvocationReport> invocation =
-        executor_->Invoke(request);
-    if (tracer_ != nullptr) tracer_->EndSpan(node_span);
-    BAUPLAN_RETURN_NOT_OK(invocation.status());
-    node_report.ApplyInvocation(*invocation);
-    if (tracer_ != nullptr) {
-      tracer_->AddAttribute(node_span, "worker",
-                            StrCat(invocation->worker));
-    }
-    report.nodes.push_back(std::move(node_report));
-  }
-
-  report.total_micros = clock_->NowMicros() - start;
-  report.spill_metrics = spill_store_->metrics();
-  return report;
-}
-
-Result<RunReport> PipelineRunner::ExecuteParallelNaive(
-    const Dag& dag, const catalog::PinnedTables& tables,
-    const std::vector<std::string>& selected,
     const sql::ExecOptions& exec, int parallelism,
     const cache::NodeFingerprints* keys, uint64_t run_span) {
   RunReport report;
@@ -618,12 +551,6 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
                                            selected.end());
   ctx.exec = exec;
   ctx.report = &report;
-
-  // Wave bodies run on forked timelines only when the executor's clock
-  // can fork; otherwise InvokeWave degrades to sequential invocations on
-  // the shared clock and span intervals need no queue fixup.
-  const bool forked_waves =
-      dynamic_cast<ForkableClock*>(clock_) != nullptr;
 
   // Ready-set bookkeeping: indegree among selected nodes only (replayed
   // upstreams are already materialized, hence never block).
@@ -701,7 +628,6 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
     }
     if (completed >= indegree.size()) break;
 
-    uint64_t wave_start = clock_->NowMicros();
     uint64_t wave_span = 0;
     if (tracer_ != nullptr) {
       wave_span = tracer_->StartSpan(
@@ -750,28 +676,23 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
     if (tracer_ != nullptr) tracer_->EndSpan(wave_span);
     BAUPLAN_RETURN_NOT_OK(wave.status());
 
-    // Degraded (sequential) waves run members back to back; track the
-    // running offset to place their spans.
-    uint64_t sequential_offset = 0;
     for (runtime::InvocationReport& invocation : wave->reports) {
       const std::string node_name = invocation.name;
       if (tracer_ != nullptr) {
+        // The span covers the member's interval as the executor ran it,
+        // queue wait excluded.
         uint64_t span = span_of.at(node_name);
-        uint64_t begin = forked_waves
-                             ? wave_start + invocation.queue_micros
-                             : wave_start + sequential_offset;
-        uint64_t end = forked_waves
-                           ? wave_start + invocation.total_micros
-                           : begin + invocation.total_micros;
-        tracer_->SetSpanInterval(span, begin, end);
-        if (forked_waves && invocation.queue_micros > 0) {
+        tracer_->SetSpanInterval(span, invocation.begin_micros,
+                                 invocation.begin_micros +
+                                     invocation.total_micros -
+                                     invocation.queue_micros);
+        if (wave->forked && invocation.queue_micros > 0) {
           // Body children were stamped on a fork starting at
-          // wave_start + prelude; slide them to the member's real slot.
+          // wave start + prelude; slide them to the member's real slot.
           tracer_->ShiftDescendants(
               span, static_cast<int64_t>(invocation.queue_micros));
         }
         tracer_->AddAttribute(span, "worker", StrCat(invocation.worker));
-        sequential_offset += invocation.total_micros;
       }
       slot_of.at(node_name)->ApplyInvocation(invocation);
       ++completed;
@@ -783,8 +704,7 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
     }
   }
 
-  // Merge per-node reports deterministically, in execution order — the
-  // same order the sequential walk emits.
+  // Merge per-node reports deterministically, in execution order.
   for (const auto& name : dag.execution_order()) {
     auto it = slot_of.find(name);
     if (it == slot_of.end()) continue;

@@ -32,11 +32,12 @@ struct PipelineRunOptions {
   /// isomorphic plan-to-execution mapping the paper's first version used
   /// (section 4.4.2).
   bool fused = true;
-  /// Naive mode only: with > 1, independent nodes dispatch together as
-  /// wavefronts and their bodies run on up to this many threads; the
-  /// run's latency reflects the DAG's critical path instead of the sum
-  /// of nodes. 1 = the classic sequential walk. Ignored in fused mode
-  /// (one function has nothing to parallelize over).
+  /// Naive mode only: independent nodes dispatch together as wavefronts
+  /// and their bodies run on up to this many threads; with > 1 the run's
+  /// latency reflects the DAG's critical path. At 1 each wave's members
+  /// run one after another, so the latency is the sum of nodes (the
+  /// paper's naive baseline). Ignored in fused mode (one function has
+  /// nothing to parallelize over).
   int parallelism = 1;
   /// Run only these nodes (replay selection); empty = all. Upstream
   /// artifacts of unselected nodes are read from the catalog.
@@ -79,7 +80,7 @@ class PipelineRunner {
   /// reservation and container acquisition entirely) and memoizes fresh
   /// post-audit artifacts; `metrics` hosts the runner's own
   /// cache.skipped_invocations counter.
-  PipelineRunner(Clock* clock, const table::TableOps* ops,
+  PipelineRunner(ForkableClock* clock, const table::TableOps* ops,
                  runtime::ServerlessExecutor* executor,
                  storage::MeteredObjectStore* spill_store,
                  observability::Tracer* tracer = nullptr,
@@ -113,21 +114,18 @@ class PipelineRunner {
                                  bool trim_unused_columns,
                                  const cache::NodeFingerprints* keys,
                                  uint64_t run_span);
+  /// One function per node, dispatched as wavefronts: every selected
+  /// node whose selected upstreams finished goes out together through
+  /// ServerlessExecutor::InvokeWave. Artifacts, expectation outcomes and
+  /// spill metrics do not depend on `parallelism`; only the schedule
+  /// does.
   Result<RunReport> ExecuteNaive(const pipeline::Dag& dag,
                                  const catalog::PinnedTables& tables,
                                  const std::vector<std::string>& selected,
                                  const sql::ExecOptions& exec,
+                                 int parallelism,
                                  const cache::NodeFingerprints* keys,
                                  uint64_t run_span);
-  /// Wavefront variant of ExecuteNaive: ready nodes dispatch together
-  /// through ServerlessExecutor::InvokeWave. Produces the same artifacts,
-  /// expectation outcomes and spill metrics as the sequential walk (the
-  /// bodies are identical; only the schedule differs).
-  Result<RunReport> ExecuteParallelNaive(
-      const pipeline::Dag& dag, const catalog::PinnedTables& tables,
-      const std::vector<std::string>& selected,
-      const sql::ExecOptions& exec, int parallelism,
-      const cache::NodeFingerprints* keys, uint64_t run_span);
 
   /// Probes the cache for `name` (`keys` may be null = caching off) and,
   /// on a hit, completes the node without dispatching a function: fills
@@ -151,7 +149,7 @@ class PipelineRunner {
   void InsertFreshArtifacts(const RunReport& report,
                             const cache::NodeFingerprints& keys);
 
-  /// The per-node FunctionRequest both naive paths dispatch: inputs list
+  /// The per-node FunctionRequest a naive run dispatches: inputs list
   /// every upstream artifact, memory is sized from their bytes, and the
   /// body (scan sources, fetch spills, run the node, spill the output)
   /// writes its results into `node_report` and the shared context.
@@ -164,7 +162,7 @@ class PipelineRunner {
   /// onto synthetic packages).
   runtime::ContainerSpec SpecForNode(const pipeline::PipelineNode& node);
 
-  Clock* clock_;
+  ForkableClock* clock_;
   const table::TableOps* ops_;
   runtime::ServerlessExecutor* executor_;
   storage::MeteredObjectStore* spill_store_;

@@ -84,8 +84,8 @@ PipelineProject MakePaperTaxiPipeline(double expectation_threshold = 10.0);
 /// short_trips/long_trips -> trip_balance) plus `fan_out` independent
 /// per-dimension rollups of taxi_table and an expectation on base. With
 /// `fan_out` >= 4 the DAG has at least four mutually independent nodes,
-/// so a parallel run's makespan is bounded by the critical path while the
-/// sequential walk pays the sum.
+/// so a parallel run's makespan is bounded by the critical path while a
+/// run at parallelism 1 pays the sum.
 PipelineProject MakeWideTaxiPipeline(int fan_out = 4);
 
 }  // namespace bauplan::pipeline

@@ -1,7 +1,6 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 namespace bauplan::runtime {
@@ -74,6 +73,7 @@ Result<InvocationReport> ServerlessExecutor::Invoke(
   report.name = request.name;
   report.ticket = request.ticket;
   uint64_t start = clock_->NowMicros();
+  report.begin_micros = start;
 
   // Place for memory + locality (charges transfer time).
   BAUPLAN_ASSIGN_OR_RETURN(
@@ -120,19 +120,19 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
   WaveReport wave;
   if (requests.empty()) return wave;
 
-  auto* fork_clock = dynamic_cast<ForkableClock*>(clock_);
-  bool can_fork = fork_clock != nullptr && !fork_clock->ForkActive();
-  if (!can_fork || parallelism <= 1 || requests.size() == 1) {
-    // Degraded path: plain sequential invocations (also taken by nested
-    // dispatches — a function body that itself drains an executor).
+  if (parallelism <= 1 || requests.size() == 1 || clock_->ForkActive()) {
+    // Sequential wave: plain invocations on the caller's clock (also
+    // taken by nested dispatches — a function body that itself drains an
+    // executor).
     for (const auto& request : requests) {
       BAUPLAN_ASSIGN_OR_RETURN(InvocationReport report, Invoke(request));
       wave.reports.push_back(std::move(report));
     }
     return wave;
   }
+  wave.forked = true;
 
-  const uint64_t wave_start = fork_clock->NowMicros();
+  const uint64_t wave_start = clock_->NowMicros();
   std::vector<WaveMember> members;
   members.reserve(requests.size());
 
@@ -153,14 +153,14 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
   };
 
   for (auto& request : requests) {
-    fork_clock->BeginFork(wave_start);
+    clock_->BeginFork(wave_start);
     WaveMember member;
     member.request = std::move(request);
 
     Result<Placement> placed = scheduler_->Place(
         EffectiveInputs(member.request), member.request.memory_bytes);
     if (!placed.ok()) {
-      fork_clock->EndFork();
+      clock_->EndFork();
       if (placed.status().IsResourceExhausted() && !members.empty()) {
         wave.deferred.push_back(std::move(member.request));
         continue;
@@ -172,7 +172,7 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
 
     Result<Acquisition> acquired = containers_->Acquire(member.request.spec);
     if (!acquired.ok()) {
-      fork_clock->EndFork();
+      clock_->EndFork();
       scheduler_->ReleaseMemory(member.placement.worker,
                                 member.request.memory_bytes);
       if (acquired.status().IsResourceExhausted() && !members.empty()) {
@@ -184,7 +184,7 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
           "'"));
     }
     member.acq = *acquired;
-    member.prelude_micros = fork_clock->EndFork() - wave_start;
+    member.prelude_micros = clock_->EndFork() - wave_start;
     members.push_back(std::move(member));
   }
 
@@ -198,7 +198,7 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
     body_starts.push_back(wave_start + member.prelude_micros);
   }
   std::vector<uint64_t> body_micros =
-      fork_clock->RunForked(body_starts, parallelism, [&](size_t i) {
+      clock_->RunForked(body_starts, parallelism, [&](size_t i) {
         WaveMember& member = members[i];
         if (member.request.body) member.body_status = member.request.body();
       });
@@ -229,6 +229,7 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
     report.body_micros = member.body_micros;
     report.total_micros = end - wave_start;
     report.locality_hit = member.placement.locality_hit;
+    report.begin_micros = begin;
     wave_end = std::max(wave_end, end);
 
     if (member.body_status.ok()) {
@@ -244,11 +245,11 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
         member.placement.worker, member.request.memory_bytes));
     // Freeze/teardown happens off the caller-visible wave latency but
     // does occupy the worker: extend its timeline past the freeze.
-    fork_clock->BeginFork(end);
+    clock_->BeginFork(end);
     Status released = containers_->Release(member.acq.container_id,
                                            !member.request.keep_warm);
     scheduler_->ExtendWorkerTimeline(member.placement.worker,
-                                     fork_clock->EndFork());
+                                     clock_->EndFork());
     BAUPLAN_RETURN_NOT_OK(released);
 
     wave.reports.push_back(std::move(report));
@@ -269,8 +270,7 @@ int64_t ServerlessExecutor::Submit(FunctionRequest request) {
   return queue_.back().ticket;
 }
 
-Result<std::vector<InvocationReport>> ServerlessExecutor::Drain(
-    int parallelism) {
+Result<std::vector<InvocationReport>> ServerlessExecutor::Drain() {
   std::vector<Pending> batch;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -280,50 +280,16 @@ Result<std::vector<InvocationReport>> ServerlessExecutor::Drain(
   std::vector<InvocationReport> reports;
   reports.reserve(batch.size());
 
-  if (parallelism <= 1) {
-    // Sequential drain: submit order, queue time measured up to each
-    // function's own dispatch (it includes its predecessors' runtime).
-    for (Pending& pending : batch) {
-      uint64_t queued = clock_->NowMicros() - pending.submitted_micros;
-      pending.request.ticket = pending.ticket;
-      BAUPLAN_ASSIGN_OR_RETURN(InvocationReport report,
-                               Invoke(pending.request));
-      report.queue_micros += queued;
-      report.total_micros += queued;
-      reports.push_back(std::move(report));
-    }
-    return reports;
-  }
-
-  // Wavefront drain: the whole batch dispatches together; members that
-  // bounce on resources retry in follow-up waves.
-  std::map<int64_t, uint64_t> submitted_micros;
-  std::vector<FunctionRequest> remaining;
-  remaining.reserve(batch.size());
+  // Submit order; queue time runs up to each function's own dispatch (it
+  // includes its predecessors' runtime).
   for (Pending& pending : batch) {
-    submitted_micros[pending.ticket] = pending.submitted_micros;
+    uint64_t queued = clock_->NowMicros() - pending.submitted_micros;
     pending.request.ticket = pending.ticket;
-    remaining.push_back(std::move(pending.request));
-  }
-
-  while (!remaining.empty()) {
-    uint64_t dispatch_micros = clock_->NowMicros();
-    BAUPLAN_ASSIGN_OR_RETURN(
-        WaveReport wave, InvokeWave(std::move(remaining), parallelism));
-    remaining = std::move(wave.deferred);
-    if (wave.reports.empty() && !remaining.empty()) {
-      return Status::Internal(
-          "executor made no progress draining the queue");
-    }
-    for (InvocationReport& report : wave.reports) {
-      auto it = submitted_micros.find(report.ticket);
-      uint64_t queued = it == submitted_micros.end()
-                            ? 0
-                            : dispatch_micros - it->second;
-      report.queue_micros += queued;
-      report.total_micros += queued;
-      reports.push_back(std::move(report));
-    }
+    BAUPLAN_ASSIGN_OR_RETURN(InvocationReport report,
+                             Invoke(pending.request));
+    report.queue_micros += queued;
+    report.total_micros += queued;
+    reports.push_back(std::move(report));
   }
   return reports;
 }

@@ -61,12 +61,21 @@ struct InvocationReport {
   bool locality_hit = false;
   /// Echo of FunctionRequest::ticket.
   int64_t ticket = 0;
+  /// The instant, on the caller's clock, at which the invocation's
+  /// interval began (after any queue wait): the clock just before Invoke
+  /// started it, or wave start + queue_micros for a forked wave member.
+  uint64_t begin_micros = 0;
 };
 
 /// Result of dispatching one wavefront of ready functions.
 struct WaveReport {
   /// One report per function that ran, in request order.
   std::vector<InvocationReport> reports;
+  /// True when the bodies ran concurrently, each on its own fork of the
+  /// clock starting at wave start + prelude (a member's spans then sit
+  /// queue_micros early); false when the members ran one after another
+  /// on the caller's clock.
+  bool forked = false;
   /// Functions bounced by resource exhaustion (no worker memory or
   /// container slot free while the rest of the wave held them). They
   /// stay runnable: re-dispatch them in the next wave.
@@ -88,8 +97,9 @@ struct WaveReport {
 /// real worker contention.
 class ServerlessExecutor {
  public:
-  /// Does not own its collaborators.
-  ServerlessExecutor(Clock* clock, ContainerManager* containers,
+  /// Does not own its collaborators. Sequential paths pass through the
+  /// forkable clock to its base; only concurrent waves fork it.
+  ServerlessExecutor(ForkableClock* clock, ContainerManager* containers,
                      Scheduler* scheduler)
       : clock_(clock), containers_(containers), scheduler_(scheduler) {}
 
@@ -99,21 +109,19 @@ class ServerlessExecutor {
 
   /// Runs a wave of functions, up to `parallelism` bodies at a time.
   /// Timing: all members start from the same wave clock; the global
-  /// clock advances by max over member end times. Requires the executor
-  /// clock to be a ForkableClock; otherwise (or when `parallelism` <= 1,
-  /// or when already running inside a fork — a nested dispatch) the wave
-  /// degrades to sequential Invoke calls.
+  /// clock advances by max over member end times. With `parallelism` <=
+  /// 1, a single member, or when already running inside a fork (a nested
+  /// dispatch), the members run as sequential Invoke calls instead, in
+  /// request order, and the clock advances by their sum.
   Result<WaveReport> InvokeWave(std::vector<FunctionRequest> requests,
                                 int parallelism);
 
   /// Enqueues a function for later execution; returns a ticket.
   int64_t Submit(FunctionRequest request);
 
-  /// Runs all queued functions, returning their reports (each includes
-  /// the time spent waiting in the queue). With `parallelism` <= 1 they
-  /// run sequentially in submit order; otherwise they dispatch as one
-  /// wave (plus follow-up waves for deferred members).
-  Result<std::vector<InvocationReport>> Drain(int parallelism = 1);
+  /// Runs all queued functions sequentially in submit order, returning
+  /// their reports (each includes the time spent waiting in the queue).
+  Result<std::vector<InvocationReport>> Drain();
 
   size_t pending() const {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -127,7 +135,7 @@ class ServerlessExecutor {
     FunctionRequest request;
   };
 
-  Clock* clock_;
+  ForkableClock* clock_;
   ContainerManager* containers_;
   Scheduler* scheduler_;
   mutable std::mutex queue_mu_;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bauplan.h"
+#include "pipeline/dag.h"
 #include "pipeline/project.h"
 #include "storage/object_store.h"
 #include "workload/taxi_gen.h"
@@ -10,10 +11,10 @@ namespace {
 
 using columnar::Table;
 
-// End-to-end checks that the parallel naive (wavefront) execution mode is
-// an observationally pure speedup: identical artifacts, expectations and
-// spill traffic as the sequential walk, with a strictly lower makespan on
-// a DAG that has independent branches.
+// End-to-end checks that naive (wavefront) execution at parallelism > 1
+// is an observationally pure speedup: identical artifacts, expectations
+// and spill traffic as at parallelism 1, with a strictly lower makespan
+// on a DAG that has independent branches.
 class ParallelExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -149,8 +150,17 @@ TEST_F(ParallelExecTest, ParallelRunsAreDeterministic) {
   EXPECT_EQ(first->trace.ToJson(), second->trace.ToJson());
 }
 
-TEST_F(ParallelExecTest, TraceCoversWavesNodesAndStorage) {
-  auto run = RunWide(/*parallelism=*/4);
+// Every naive run takes the wavefront walker, so the trace has the same
+// shape at any parallelism; at 1 the members of a wave run one after
+// another on the shared clock.
+class ParallelTraceTest : public ParallelExecTest,
+                          public ::testing::WithParamInterface<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Parallelism, ParallelTraceTest,
+                         ::testing::Values(1, 4));
+
+TEST_P(ParallelTraceTest, TraceCoversWavesNodesAndStorage) {
+  auto run = RunWide(/*parallelism=*/GetParam());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const observability::Trace& trace = run->trace;
 
@@ -191,10 +201,10 @@ TEST_F(ParallelExecTest, TraceCoversWavesNodesAndStorage) {
     EXPECT_LE(node_span->end_micros, wave->end_micros) << node.name;
   }
 
-  // Storage and SQL work is visible as leaf spans: the naive mapping
-  // scans sources, runs the query, and spills every intermediate. (The
-  // test platform's instant storage model makes them zero-width, so
-  // count presence, not duration.)
+  // Storage, SQL and audit work is visible as leaf spans: the naive
+  // mapping scans sources, runs the query, spills every intermediate and
+  // checks expectations. (The test platform's instant storage model
+  // makes them zero-width, so count presence, not duration.)
   auto count_kind = [&trace](const char* kind) {
     size_t count = 0;
     for (const observability::Span& span : trace.spans) {
@@ -205,15 +215,49 @@ TEST_F(ParallelExecTest, TraceCoversWavesNodesAndStorage) {
   EXPECT_GT(count_kind(observability::span_kind::kSql), 0u);
   EXPECT_GT(count_kind(observability::span_kind::kScan), 0u);
   EXPECT_GT(count_kind(observability::span_kind::kSpill), 0u);
+  EXPECT_GT(count_kind(observability::span_kind::kExpectation), 0u);
 
   // Leaf spans sit inside their node's reported interval.
   for (const observability::Span& span : trace.spans) {
-    if (span.kind != observability::span_kind::kSql) continue;
+    if (span.kind != observability::span_kind::kSql &&
+        span.kind != observability::span_kind::kScan &&
+        span.kind != observability::span_kind::kSpill &&
+        span.kind != observability::span_kind::kExpectation) {
+      continue;
+    }
     const observability::Span* parent = trace.Find(span.parent_id);
-    ASSERT_NE(parent, nullptr);
-    EXPECT_EQ(parent->kind, observability::span_kind::kNode);
-    EXPECT_GE(span.start_micros, parent->start_micros);
-    EXPECT_LE(span.end_micros, parent->end_micros);
+    ASSERT_NE(parent, nullptr) << span.name;
+    EXPECT_EQ(parent->kind, observability::span_kind::kNode) << span.name;
+    EXPECT_GE(span.start_micros, parent->start_micros) << span.name;
+    EXPECT_LE(span.end_micros, parent->end_micros) << span.name;
+  }
+}
+
+TEST_F(ParallelExecTest, SequentialNodeSpansFollowExecutionOrder) {
+  auto run = RunWide(/*parallelism=*/1);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto dag = pipeline::Dag::Build(pipeline::MakeWideTaxiPipeline(4),
+                                  {"taxi_table"});
+  ASSERT_TRUE(dag.ok()) << dag.status().ToString();
+
+  // At parallelism 1 the nodes run one at a time in execution order, so
+  // each node span begins no earlier than the previous one ended.
+  const observability::Span* previous = nullptr;
+  for (const std::string& name : dag->execution_order()) {
+    const observability::Span* node_span = nullptr;
+    for (const observability::Span& span : run->trace.spans) {
+      if (span.kind == observability::span_kind::kNode &&
+          span.name == name) {
+        node_span = &span;
+        break;
+      }
+    }
+    ASSERT_NE(node_span, nullptr) << name;
+    if (previous != nullptr) {
+      EXPECT_GE(node_span->start_micros, previous->end_micros)
+          << previous->name << " then " << name;
+    }
+    previous = node_span;
   }
 }
 

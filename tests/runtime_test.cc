@@ -327,10 +327,11 @@ TEST(SchedulerTest, OversizedRequestRejected) {
 class ExecutorTest : public ::testing::Test {
  protected:
   ExecutorTest()
-      : cache_(&clock_, {}),
-        containers_(&clock_, &cache_),
-        scheduler_(&clock_, {}),
-        executor_(&clock_, &containers_, &scheduler_) {}
+      : fork_clock_(&clock_),
+        cache_(&fork_clock_, {}),
+        containers_(&fork_clock_, &cache_),
+        scheduler_(&fork_clock_, {}),
+        executor_(&fork_clock_, &containers_, &scheduler_) {}
 
   FunctionRequest MakeRequest(const std::string& name) {
     FunctionRequest request;
@@ -340,6 +341,7 @@ class ExecutorTest : public ::testing::Test {
   }
 
   SimClock clock_;
+  ForkableClock fork_clock_;
   PackageCache cache_;
   ContainerManager containers_;
   Scheduler scheduler_;
@@ -440,12 +442,13 @@ TEST_F(ExecutorTest, FailedBodyRecordsNoArtifact) {
 
 TEST(ExecutorCleanupTest, ExhaustedContainerPoolReleasesReservation) {
   SimClock clock;
-  PackageCache cache(&clock, {});
+  ForkableClock fork(&clock);
+  PackageCache cache(&fork, {});
   ContainerManager::Options copts;
   copts.max_containers = 1;
-  ContainerManager containers(&clock, &cache, copts);
-  Scheduler scheduler(&clock, {});
-  ServerlessExecutor executor(&clock, &containers, &scheduler);
+  ContainerManager containers(&fork, &cache, copts);
+  Scheduler scheduler(&fork, {});
+  ServerlessExecutor executor(&fork, &containers, &scheduler);
 
   // Occupy the single container slot so Acquire inside Invoke fails
   // after the scheduler memory reservation was already made.
@@ -549,6 +552,45 @@ TEST_F(WaveExecutorTest, SameWorkerMembersSerializeOnTimeline) {
   EXPECT_EQ(one_worker.used_memory(0), 0u);
 }
 
+TEST_F(WaveExecutorTest, MembersReportWhereTheirIntervalsBegan) {
+  // Parallelism 1: the members run one after another on the caller's
+  // clock, each beginning no earlier than the previous one ended.
+  std::vector<FunctionRequest> sequential;
+  for (int i = 0; i < 3; ++i) {
+    sequential.push_back(MakeRequest("seq" + std::to_string(i), 1000));
+  }
+  uint64_t start = base_clock_.NowMicros();
+  auto seq = executor_.InvokeWave(std::move(sequential), 1);
+  ASSERT_TRUE(seq.ok());
+  EXPECT_FALSE(seq->forked);
+  ASSERT_EQ(seq->reports.size(), 3u);
+  EXPECT_EQ(seq->reports[0].begin_micros, start);
+  for (size_t i = 1; i < seq->reports.size(); ++i) {
+    const InvocationReport& prev = seq->reports[i - 1];
+    EXPECT_GE(seq->reports[i].begin_micros,
+              prev.begin_micros + prev.total_micros);
+  }
+
+  // Forked wave on one worker: the second member queues behind the
+  // first and begins at wave start + its queue wait.
+  Scheduler::Options opts;
+  opts.num_workers = 1;
+  Scheduler one_worker(&fork_clock_, opts);
+  ServerlessExecutor executor(&fork_clock_, &containers_, &one_worker);
+  std::vector<FunctionRequest> wave;
+  wave.push_back(MakeRequest("first", 1000));
+  wave.push_back(MakeRequest("second", 1000));
+  uint64_t wave_start = base_clock_.NowMicros();
+  auto forked = executor.InvokeWave(std::move(wave), 2);
+  ASSERT_TRUE(forked.ok());
+  EXPECT_TRUE(forked->forked);
+  ASSERT_EQ(forked->reports.size(), 2u);
+  for (const InvocationReport& report : forked->reports) {
+    EXPECT_EQ(report.begin_micros, wave_start + report.queue_micros);
+  }
+  EXPECT_GT(forked->reports[1].queue_micros, 0u);
+}
+
 TEST_F(WaveExecutorTest, PoolExhaustionDefersInsteadOfFailing) {
   SimClock clock;
   ForkableClock fork(&clock);
@@ -584,25 +626,6 @@ TEST_F(WaveExecutorTest, PoolExhaustionDefersInsteadOfFailing) {
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->reports.size(), 1u);
   EXPECT_EQ(next->deferred.size(), 1u);
-}
-
-TEST_F(WaveExecutorTest, DrainWithParallelismRunsAllPending) {
-  for (int i = 0; i < 4; ++i) {
-    executor_.Submit(MakeRequest("queued" + std::to_string(i), 50000));
-  }
-  EXPECT_EQ(executor_.pending(), 4u);
-  uint64_t start = base_clock_.NowMicros();
-  auto reports = executor_.Drain(/*parallelism=*/4);
-  ASSERT_TRUE(reports.ok());
-  ASSERT_EQ(reports->size(), 4u);
-  EXPECT_EQ(executor_.pending(), 0u);
-  uint64_t elapsed = base_clock_.NowMicros() - start;
-  uint64_t sum_work = 0;
-  for (const auto& r : *reports) {
-    sum_work += r.startup_micros + r.transfer_micros + r.body_micros;
-  }
-  // Members overlapped: the caller waited less than the summed work.
-  EXPECT_LT(elapsed, sum_work);
 }
 
 }  // namespace
