@@ -16,9 +16,8 @@ Result<Catalog> Catalog::Open(storage::ObjectStore* store, Clock* clock,
     root.message = "initialize catalog";
     root.author = "system";
     root.timestamp_micros = clock->NowMicros();
-    BAUPLAN_ASSIGN_OR_RETURN(std::string root_id,
-                             cat.WriteCommit(std::move(root)));
-    BAUPLAN_RETURN_NOT_OK(cat.WriteRef("branch", kMainBranch, root_id));
+    BAUPLAN_RETURN_NOT_OK(cat.WriteCommit(&root));
+    BAUPLAN_RETURN_NOT_OK(cat.WriteRef("branch", kMainBranch, root.id));
   }
   return cat;
 }
@@ -68,11 +67,31 @@ Status Catalog::WriteRef(const std::string& kind, const std::string& name,
                      Bytes(commit_id.begin(), commit_id.end()));
 }
 
-Result<std::string> Catalog::WriteCommit(Commit commit) {
-  commit.id = commit.ComputeId();
-  BAUPLAN_RETURN_NOT_OK(store_->Put(CommitKey(commit.id),
-                                    commit.Serialize()));
-  return commit.id;
+Status Catalog::WriteCommit(Commit* commit) {
+  commit->id = commit->ComputeId();
+  return store_->Put(CommitKey(commit->id), commit->Serialize());
+}
+
+Result<Commit> Catalog::WriteChild(std::string parent_id,
+                                   std::map<std::string, std::string> tables,
+                                   const std::string& message,
+                                   const std::string& author,
+                                   const TableChanges& changes) {
+  Commit next;
+  next.parent_id = std::move(parent_id);
+  next.message = message;
+  next.author = author;
+  next.timestamp_micros = clock_->NowMicros();
+  next.tables = std::move(tables);
+  for (const auto& name : changes.deletes) {
+    if (next.tables.erase(name) == 0) {
+      return Status::NotFound(
+          StrCat("cannot delete table '", name, "': not in catalog"));
+    }
+  }
+  for (const auto& [name, key] : changes.puts) next.tables[name] = key;
+  BAUPLAN_RETURN_NOT_OK(WriteCommit(&next));
+  return next;
 }
 
 Status Catalog::CreateBranch(const std::string& name,
@@ -236,33 +255,27 @@ Result<std::string> PinnedTables::GetTable(
 Result<std::string> Catalog::CommitChanges(const std::string& branch,
                                            const std::string& message,
                                            const std::string& author,
-                                           const TableChanges& changes,
-                                           const std::string& expected_head) {
+                                           const TableChanges& changes) {
   BAUPLAN_ASSIGN_OR_RETURN(std::string head, BranchHead(branch));
-  if (!expected_head.empty() && head != expected_head) {
-    return Status::Conflict(
-        StrCat("branch '", branch, "' moved from ", expected_head, " to ",
-               head, "; rebase and retry"));
-  }
   BAUPLAN_ASSIGN_OR_RETURN(Commit parent, GetCommit(head));
+  BAUPLAN_ASSIGN_OR_RETURN(
+      Commit next, WriteChild(std::move(parent.id), std::move(parent.tables),
+                              message, author, changes));
+  BAUPLAN_RETURN_NOT_OK(WriteRef("branch", branch, next.id));
+  return next.id;
+}
 
-  Commit next;
-  next.parent_id = parent.id;
-  next.message = message;
-  next.author = author;
-  next.timestamp_micros = clock_->NowMicros();
-  next.tables = parent.tables;
-  for (const auto& name : changes.deletes) {
-    if (next.tables.erase(name) == 0) {
-      return Status::NotFound(
-          StrCat("cannot delete table '", name, "': not in catalog"));
-    }
-  }
-  for (const auto& [name, key] : changes.puts) next.tables[name] = key;
-
-  BAUPLAN_ASSIGN_OR_RETURN(std::string id, WriteCommit(std::move(next)));
-  BAUPLAN_RETURN_NOT_OK(WriteRef("branch", branch, id));
-  return id;
+Result<MergeResult> Catalog::CommitOnto(const PinnedTables& base,
+                                        const std::string& branch,
+                                        const std::string& message,
+                                        const std::string& author,
+                                        const TableChanges& changes) {
+  BAUPLAN_RETURN_NOT_OK(base.tables().status());
+  BAUPLAN_ASSIGN_OR_RETURN(
+      Commit next,
+      WriteChild(base.commit_id(), *base.tables(), message, author, changes));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string head, BranchHead(branch));
+  return Install(next, next.id, branch, head, author);
 }
 
 Result<MergeResult> Catalog::Merge(const std::string& from_ref,
@@ -271,20 +284,26 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
   BAUPLAN_ASSIGN_OR_RETURN(std::string from_id, ResolveRef(from_ref));
   BAUPLAN_ASSIGN_OR_RETURN(std::string to_head, BranchHead(to_branch));
   if (from_id == to_head) return MergeResult{to_head, true};
+  BAUPLAN_ASSIGN_OR_RETURN(Commit source, GetCommit(from_id));
+  return Install(source, from_ref, to_branch, to_head, author);
+}
 
+Result<MergeResult> Catalog::Install(const Commit& source,
+                                     const std::string& source_name,
+                                     const std::string& to_branch,
+                                     const std::string& to_head,
+                                     const std::string& author) {
   // Walk the source's first-parent chain. Reaching the target head means
   // a fast-forward, found by reading only the commits the source added.
-  std::set<std::string> from_chain;
-  std::optional<Commit> theirs;
-  for (std::string id = from_id; !id.empty();) {
+  std::set<std::string> from_chain = {source.id};
+  for (std::string id = source.parent_id; !id.empty();) {
     if (id == to_head) {
-      BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, from_id));
-      return MergeResult{from_id, true};
+      BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, source.id));
+      return MergeResult{source.id, true};
     }
     BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
     from_chain.insert(id);
     id = c.parent_id;
-    if (!theirs.has_value()) theirs = std::move(c);
   }
 
   // Otherwise the merge base is the first commit on the target's chain
@@ -301,7 +320,7 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
     base_id = c.parent_id;
     if (!ours.has_value()) ours = std::move(c);
   }
-  if (base_id == from_id) return MergeResult{to_head, true};
+  if (base_id == source.id) return MergeResult{to_head, true};
 
   // Three-way merge against the base.
   BAUPLAN_ASSIGN_OR_RETURN(Commit base, GetCommit(base_id));
@@ -309,7 +328,7 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
   std::set<std::string> all_names;
   for (const auto& [n, k] : base.tables) all_names.insert(n);
   for (const auto& [n, k] : ours->tables) all_names.insert(n);
-  for (const auto& [n, k] : theirs->tables) all_names.insert(n);
+  for (const auto& [n, k] : source.tables) all_names.insert(n);
 
   auto lookup = [](const std::map<std::string, std::string>& m,
                    const std::string& n) -> std::string {
@@ -319,14 +338,14 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
   for (const auto& name : all_names) {
     std::string in_base = lookup(base.tables, name);
     std::string in_ours = lookup(ours->tables, name);
-    std::string in_theirs = lookup(theirs->tables, name);
+    std::string in_theirs = lookup(source.tables, name);
     if (in_ours == in_theirs) continue;  // agree (incl. both deleted)
     bool ours_changed = in_ours != in_base;
     bool theirs_changed = in_theirs != in_base;
     if (ours_changed && theirs_changed) {
       return Status::Conflict(
           StrCat("merge conflict on table '", name, "': both '", to_branch,
-                 "' and '", from_ref, "' changed it since ", base_id));
+                 "' and '", source_name, "' changed it since ", base_id));
     }
     // Exactly one side changed: take that side.
     const std::string& winner = theirs_changed ? in_theirs : in_ours;
@@ -339,26 +358,14 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
 
   Commit merge;
   merge.parent_id = ours->id;
-  merge.merge_parent_id = theirs->id;
-  merge.message = StrCat("merge ", from_ref, " into ", to_branch);
+  merge.merge_parent_id = source.id;
+  merge.message = StrCat("merge ", source_name, " into ", to_branch);
   merge.author = author;
   merge.timestamp_micros = clock_->NowMicros();
   merge.tables = std::move(merged);
-  BAUPLAN_ASSIGN_OR_RETURN(std::string id, WriteCommit(std::move(merge)));
-  BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, id));
-  return MergeResult{id, false};
-}
-
-Result<std::string> Catalog::CreateEphemeralBranch(
-    const std::string& commit_id, const std::string& prefix) {
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    std::string name = StrCat(prefix, "_", ++ephemeral_counter_);
-    BAUPLAN_ASSIGN_OR_RETURN(auto existing, ReadRef("branch", name));
-    if (existing.has_value()) continue;
-    BAUPLAN_RETURN_NOT_OK(WriteRef("branch", name, commit_id));
-    return name;
-  }
-  return Status::Internal("could not allocate an ephemeral branch name");
+  BAUPLAN_RETURN_NOT_OK(WriteCommit(&merge));
+  BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, merge.id));
+  return MergeResult{merge.id, false};
 }
 
 }  // namespace bauplan::catalog

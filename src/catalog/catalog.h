@@ -71,9 +71,11 @@ class PinnedTables {
 /// tag names may not have, so resolving one reads the commit object and
 /// never probes refs.
 ///
-/// Commit concurrency follows compare-and-swap semantics: a commit states
-/// the head it was computed against and fails with Conflict if the branch
-/// has moved, exactly like Nessie's optimistic locking.
+/// A run publishes optimistically, like a Nessie commit: its one commit
+/// is computed against the head it pinned, and installing it on a branch
+/// that moved meanwhile is a three-way merge that fails with Conflict when
+/// both sides changed the same table. The install reads the ref, then
+/// writes it, so this holds for one writer at a time.
 class Catalog {
  public:
   static constexpr const char* kMainBranch = "main";
@@ -154,13 +156,12 @@ class Catalog {
   // -- writes ---------------------------------------------------------
 
   /// Applies `changes` on top of `branch`, creating a new commit and
-  /// advancing the branch. When `expected_head` is non-empty and the
-  /// branch has moved past it, fails with Conflict and writes nothing.
+  /// advancing the branch: reads the ref and the head commit, writes the
+  /// commit, then the ref.
   Result<std::string> CommitChanges(const std::string& branch,
                                     const std::string& message,
                                     const std::string& author,
-                                    const TableChanges& changes,
-                                    const std::string& expected_head = "");
+                                    const TableChanges& changes);
 
   /// Merges `from_ref` into `to_branch`. Fast-forwards when possible;
   /// otherwise three-way merges against the common ancestor and fails
@@ -171,11 +172,18 @@ class Catalog {
                             const std::string& to_branch,
                             const std::string& author);
 
-  /// Creates a uniquely-named ephemeral branch "<prefix>_<n>" at
-  /// `commit_id` and returns its name (paper's run_12 branches, Fig. 4).
-  /// The commit is not re-read: callers pass one they already hold.
-  Result<std::string> CreateEphemeralBranch(const std::string& commit_id,
-                                            const std::string& prefix);
+  /// The transform-audit-write publish (paper Fig. 4): writes one commit
+  /// of `changes` onto `base` (parent: the pinned commit, tables: the
+  /// pin's map plus the changes; nothing is re-read), then installs it on
+  /// `branch` as Merge would: a fast-forward (one ref read, one ref
+  /// write) when the head still equals the pin, else a three-way merge
+  /// that can fail with Conflict. No ref names the commit until it is
+  /// installed; a failed install leaves the branch unmoved.
+  Result<MergeResult> CommitOnto(const PinnedTables& base,
+                                 const std::string& branch,
+                                 const std::string& message,
+                                 const std::string& author,
+                                 const TableChanges& changes);
 
  private:
   Catalog(storage::ObjectStore* store, Clock* clock, std::string prefix)
@@ -193,12 +201,30 @@ class Catalog {
   static Status ValidateRefName(const std::string& kind,
                                 const std::string& name);
 
-  Result<std::string> WriteCommit(Commit commit);
+  /// Sets `commit->id` and stores the commit under it.
+  Status WriteCommit(Commit* commit);
+  /// Writes the child of `parent_id` whose tables are `tables` with
+  /// `changes` applied; writes nothing when a delete names a missing
+  /// table.
+  Result<Commit> WriteChild(std::string parent_id,
+                            std::map<std::string, std::string> tables,
+                            const std::string& message,
+                            const std::string& author,
+                            const TableChanges& changes);
+  /// Moves `to_branch`, whose head the caller read as `to_head`, to
+  /// include `source`, a commit already in hand: a fast-forward when
+  /// `to_head` is on the source's first-parent chain, otherwise a
+  /// three-way merge commit. `source_name` names the source in the
+  /// merge message and conflict errors.
+  Result<MergeResult> Install(const Commit& source,
+                              const std::string& source_name,
+                              const std::string& to_branch,
+                              const std::string& to_head,
+                              const std::string& author);
 
   storage::ObjectStore* store_;
   Clock* clock_;
   std::string prefix_;
-  uint64_t ephemeral_counter_ = 0;
 };
 
 }  // namespace bauplan::catalog

@@ -318,10 +318,13 @@ constexpr int kWriteWaveThreads = 4;
 
 }  // namespace
 
-Status Bauplan::MaterializeArtifacts(const RunReport& execution,
-                                     const catalog::PinnedTables& pinned,
-                                     const std::string& run_branch) {
-  if (execution.artifacts.empty()) return Status::OK();
+Result<catalog::MergeResult> Bauplan::MaterializeArtifacts(
+    const RunReport& execution, const catalog::PinnedTables& pinned,
+    const std::string& branch) {
+  if (execution.artifacts.empty()) {
+    BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->BranchHead(branch));
+    return catalog::MergeResult{head, true};
+  }
   std::vector<std::string> names;
   std::vector<const columnar::Table*> data;
   for (const auto& [name, table] : execution.artifacts) {
@@ -348,27 +351,25 @@ Status Bauplan::MaterializeArtifacts(const RunReport& execution,
     BAUPLAN_RETURN_NOT_OK(written[i].status());
     changes.puts[names[i]] = *written[i];
   }
-  return catalog_
-      ->CommitChanges(run_branch,
-                      StrCat("run ", execution.run_id, ": ",
-                             StrJoin(names, ", ")),
-                      options_.author, changes, pinned.commit_id())
-      .status();
+  return catalog_->CommitOnto(
+      pinned, branch,
+      StrCat("run ", execution.run_id, ": ", StrJoin(names, ", ")),
+      options_.author, changes);
 }
 
 Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                                const std::string& branch,
                                const PipelineRunOptions& options) {
   // The run reads one commit of `branch`, resolved here once: the
-  // pre-flight, the run record, the ephemeral branch, the DAG and every
-  // node body see it, and the publish commit names it as its parent.
+  // pre-flight, the run record, the DAG and every node body see it, and
+  // the publish commit names it as its parent.
   BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->BranchHead(branch));
   const catalog::PinnedTables pinned = catalog_->PinCommit(head, branch);
   BAUPLAN_RETURN_NOT_OK(pinned.tables().status());
 
   // Pre-flight: refuse to schedule a project the analyzer rejects —
-  // before a run is registered, a branch is created, or any container is
-  // acquired. `--no-verify` (options.verify = false) skips this.
+  // before a run is registered or any container is acquired.
+  // `--no-verify` (options.verify = false) skips this.
   if (options.verify) {
     analysis::AnalysisResult check = CheckPinned(project, pinned);
     if (!check.ok()) {
@@ -386,11 +387,9 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                  project.nodes().size(), " nodes, ",
                  options.fused ? "fused" : "naive", ")"));
 
-  // Fig. 4: execute in an ephemeral branch; merge only on full success.
-  BAUPLAN_ASSIGN_OR_RETURN(std::string run_branch,
-                           catalog_->CreateEphemeralBranch(head, "run"));
+  // Fig. 4: nothing the run writes is referenced until it publishes, so a
+  // failed run leaves no ref to clean up.
   auto fail = [&](const std::string& why) -> Result<RunReport> {
-    (void)catalog_->DeleteBranch(run_branch);
     BAUPLAN_RETURN_NOT_OK(
         registry_->FinishRun(record.run_id, StrCat("failed: ", why)));
     report.status = StrCat("failed: ", why);
@@ -434,16 +433,13 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
     return fail(StrCat("expectations failed (", details, ")"));
   }
 
-  // Audit passed: publish the artifacts as one commit on the ephemeral
-  // branch, then merge it (a fast-forward unless `branch` moved).
+  // Audit passed: publish the artifacts as one commit onto the pinned
+  // head (a fast-forward of `branch` unless it moved).
   const uint64_t publish_start = fork_clock_->NowMicros();
-  Status published = MaterializeArtifacts(report, pinned, run_branch);
   Result<catalog::MergeResult> merged =
-      published.ok() ? catalog_->Merge(run_branch, branch, options_.author)
-                     : Result<catalog::MergeResult>(published);
+      MaterializeArtifacts(report, pinned, branch);
   report.publish_micros = fork_clock_->NowMicros() - publish_start;
   if (!merged.ok()) return fail(merged.status().ToString());
-  BAUPLAN_RETURN_NOT_OK(catalog_->DeleteBranch(run_branch));
   // Record which nodes the artifact cache served, so a later
   // `bauplan run --run-id N` can say what this run skipped.
   std::vector<std::string> cached_nodes;

@@ -121,11 +121,12 @@ class Bauplan {
 
   // --------------------------------------------------------------- run
 
-  /// `bauplan run`: snapshots + fingerprints the project, executes its
-  /// DAG inside an ephemeral branch (transform-audit-write) against the
-  /// one commit of `branch` it reads up front, materializes every SQL
-  /// artifact as a table in one commit, and merges into `branch` only
-  /// when all expectations pass.
+  /// `bauplan run`: snapshots + fingerprints the project and executes its
+  /// DAG against the one commit of `branch` it reads up front
+  /// (transform-audit-write). Only when all expectations pass does it
+  /// materialize every SQL artifact as a table in one commit whose parent
+  /// is that pinned head — unreferenced until installed — and install it
+  /// on `branch`: a fast-forward, or a three-way merge if `branch` moved.
   Result<RunReport> Run(const pipeline::PipelineProject& project,
                         const std::string& branch,
                         const PipelineRunOptions& options = {});
@@ -184,11 +185,13 @@ class Bauplan {
 
   /// Publishes a run's artifacts: writes each one as a table snapshot in
   /// one write wave (concurrent, one forked timeline each), then commits
-  /// them all as one commit on `run_branch`, whose head must still be
-  /// the pinned commit. A failed write commits nothing.
-  Status MaterializeArtifacts(const RunReport& execution,
-                              const catalog::PinnedTables& pinned,
-                              const std::string& run_branch);
+  /// them all as one commit whose parent is the pinned head and installs
+  /// it on `branch` (Catalog::CommitOnto). Until installed the commit is
+  /// referenced by nothing. A failed write commits nothing; a run with
+  /// no artifacts commits nothing and returns the branch's head.
+  Result<catalog::MergeResult> MaterializeArtifacts(
+      const RunReport& execution, const catalog::PinnedTables& pinned,
+      const std::string& branch);
 
   /// Records one audit entry; failures are logged, never fatal.
   void Audit(const std::string& operation, const std::string& ref,

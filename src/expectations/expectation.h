@@ -21,7 +21,8 @@ struct ExpectationOutcome {
 /// A statistical check over a produced artifact: the audit step of the
 /// paper's transform-audit-write pattern. Expectations play the role of
 /// integration tests for data (section 4.1 fn. 7): they gate whether a
-/// run's ephemeral branch may merge.
+/// run publishes its commit — unreferenced until then, with the pinned
+/// head as its parent — onto its branch.
 class Expectation {
  public:
   using CheckFn =

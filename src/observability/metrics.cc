@@ -10,23 +10,6 @@
 
 namespace bauplan::observability {
 
-// ---------------------------------------------------------- DoubleCounter
-
-void DoubleCounter::Add(double delta) {
-  double current = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(current, current + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-double DoubleCounter::Value() const {
-  return value_.load(std::memory_order_relaxed);
-}
-
-void DoubleCounter::Reset() {
-  value_.store(0.0, std::memory_order_relaxed);
-}
-
 // ------------------------------------------------------------------ Gauge
 
 void Gauge::SetMax(int64_t value) {
@@ -143,13 +126,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-DoubleCounter* MetricsRegistry::GetDoubleCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = double_counters_[name];
-  if (slot == nullptr) slot = std::make_unique<DoubleCounter>();
-  return slot.get();
-}
-
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
@@ -167,7 +143,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, counter] : double_counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
@@ -177,9 +152,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
   for (const auto& [name, counter] : counters_) {
     snapshot.values[name] = static_cast<double>(counter->Value());
-  }
-  for (const auto& [name, counter] : double_counters_) {
-    snapshot.values[name] = counter->Value();
   }
   for (const auto& [name, gauge] : gauges_) {
     snapshot.values[name] = static_cast<double>(gauge->Value());
@@ -196,8 +168,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 
 size_t MetricsRegistry::instrument_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + double_counters_.size() + gauges_.size() +
-         histograms_.size();
+  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 MetricsRegistry* MetricsRegistry::Default() {

@@ -27,18 +27,6 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// Floating-point accumulator (cost credits). CAS loop keeps adds exact
-/// under concurrency.
-class DoubleCounter {
- public:
-  void Add(double delta);
-  double Value() const;
-  void Reset();
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Last-value instrument (pool sizes, bytes in use).
 class Gauge {
  public:
@@ -111,7 +99,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter* GetCounter(const std::string& name);
-  DoubleCounter* GetDoubleCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
@@ -130,8 +117,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_
-      BAUPLAN_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<DoubleCounter>> double_counters_
       BAUPLAN_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_
       BAUPLAN_GUARDED_BY(mu_);

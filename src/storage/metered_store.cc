@@ -24,7 +24,6 @@ MeteredObjectStore::MeteredObjectStore(
   simulated_micros_ =
       registry->GetCounter(metric_prefix_ + ".simulated_micros");
   request_micros_ = registry->GetCounter(metric_prefix_ + ".request_micros");
-  credits_ = registry->GetDoubleCounter(metric_prefix_ + ".credits");
 }
 
 StoreMetrics MeteredObjectStore::metrics() const {
@@ -39,7 +38,15 @@ StoreMetrics MeteredObjectStore::metrics() const {
   snapshot.simulated_micros =
       static_cast<uint64_t>(simulated_micros_->Value());
   snapshot.request_micros = static_cast<uint64_t>(request_micros_->Value());
-  snapshot.credits = credits_->Value();
+  // Derived from the integer totals rather than summed per request, so
+  // the value does not depend on the order concurrent requests landed in.
+  // DELETEs are free.
+  snapshot.credits =
+      static_cast<double>(snapshot.gets + snapshot.puts + snapshot.heads +
+                          snapshot.lists) *
+          cost_.credits_per_request +
+      static_cast<double>(snapshot.bytes_read + snapshot.bytes_written) *
+          cost_.credits_per_byte;
   return snapshot;
 }
 
@@ -53,7 +60,6 @@ void MeteredObjectStore::ResetMetrics() {
   bytes_written_->Reset();
   simulated_micros_->Reset();
   request_micros_->Reset();
-  credits_->Reset();
 }
 
 void MeteredObjectStore::Charge(StoreOp op, uint64_t nbytes) const {
@@ -69,20 +75,16 @@ uint64_t MeteredObjectStore::Count(StoreOp op, uint64_t nbytes) const {
     case StoreOp::kGet:
       gets_->Increment();
       bytes_read_->Increment(static_cast<int64_t>(nbytes));
-      credits_->Add(cost_.CreditsFor(nbytes));
       break;
     case StoreOp::kPut:
       puts_->Increment();
       bytes_written_->Increment(static_cast<int64_t>(nbytes));
-      credits_->Add(cost_.CreditsFor(nbytes));
       break;
     case StoreOp::kHead:
       heads_->Increment();
-      credits_->Add(cost_.CreditsFor(0));
       break;
     case StoreOp::kList:
       lists_->Increment();
-      credits_->Add(cost_.CreditsFor(0));
       break;
     case StoreOp::kDelete:
       deletes_->Increment();

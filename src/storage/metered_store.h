@@ -32,7 +32,8 @@ struct StoreMetrics {
   /// Sum of every request's own modeled latency, microseconds; minus
   /// simulated_micros, it is the I/O time batching overlapped.
   uint64_t request_micros = 0;
-  /// Accumulated scan credits (cost model).
+  /// Scan credits (cost model): every request but DELETE at
+  /// credits_per_request, plus every byte moved at credits_per_byte.
   double credits = 0.0;
 
   int64_t TotalRequests() const {
@@ -41,7 +42,7 @@ struct StoreMetrics {
 };
 
 /// Decorates any ObjectStore with a latency model (charged to a Clock) and
-/// a cost model (accumulated as credits). This is how the repo simulates
+/// a cost model (credits, derived from the request and byte counters). This is how the repo simulates
 /// "object storage is slow and should be a last resort" (paper section 4.5)
 /// without a real cloud: backends stay instant, and all timing claims are
 /// read off the simulated clock.
@@ -85,8 +86,8 @@ class MeteredObjectStore : public ObjectStore {
   const std::string& metric_prefix() const { return metric_prefix_; }
 
  private:
-  /// Charges one request's counters, credits and request_micros; the
-  /// clock is left to the caller. Returns the request's latency.
+  /// Charges one request's counters and request_micros; the clock is left
+  /// to the caller. Returns the request's latency.
   uint64_t Count(StoreOp op, uint64_t nbytes) const;
   /// Count + advancing the clock by that one request.
   void Charge(StoreOp op, uint64_t nbytes) const;
@@ -106,7 +107,6 @@ class MeteredObjectStore : public ObjectStore {
   observability::Counter* bytes_written_;
   observability::Counter* simulated_micros_;
   observability::Counter* request_micros_;
-  observability::DoubleCounter* credits_;
 };
 
 }  // namespace bauplan::storage

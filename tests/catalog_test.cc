@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
-#include "catalog/transaction.h"
 #include "common/clock.h"
 #include "storage/fault_injection_store.h"
 #include "storage/object_store.h"
@@ -21,12 +20,37 @@ class CatalogTest : public ::testing::Test {
 
   Result<std::string> Commit(const std::string& branch,
                              const std::string& table,
-                             const std::string& key,
-                             const std::string& expected_head = "") {
+                             const std::string& key) {
     TableChanges changes;
     changes.puts[table] = key;
     return catalog_->CommitChanges(branch, "set " + table, "tester",
-                                   changes, expected_head);
+                                   changes);
+  }
+
+  /// Publishes `table` = `key` onto `pin` and installs it on `branch`,
+  /// as a run does.
+  Result<MergeResult> Publish(const PinnedTables& pin,
+                              const std::string& branch,
+                              const std::string& table,
+                              const std::string& key) {
+    TableChanges changes;
+    changes.puts[table] = key;
+    return catalog_->CommitOnto(pin, branch, "run: " + table, "tester",
+                                changes);
+  }
+
+  /// Every branch and tag head.
+  std::vector<std::string> RefHeads() {
+    std::vector<std::string> heads;
+    for (const char* kind : {"branch", "tag"}) {
+      auto refs = store_.List(std::string("catalog/refs/") + kind + "/");
+      EXPECT_TRUE(refs.ok());
+      for (const auto& ref : *refs) {
+        Bytes id = *store_.Get(ref.key);
+        heads.emplace_back(id.begin(), id.end());
+      }
+    }
+    return heads;
   }
 
   storage::MemoryObjectStore store_;
@@ -85,15 +109,24 @@ TEST_F(CatalogTest, CommitDeletesTable) {
 }
 
 TEST_F(CatalogTest, OptimisticConcurrencyConflict) {
-  auto head = catalog_->ResolveRef("main");
-  ASSERT_TRUE(head.ok());
-  ASSERT_TRUE(Commit("main", "a", "k1").ok());  // branch moves
-  auto stale = Commit("main", "b", "k2", *head);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_TRUE(stale.status().IsConflict());
-  // With the right head it succeeds.
-  auto fresh_head = catalog_->ResolveRef("main");
-  EXPECT_TRUE(Commit("main", "b", "k2", *fresh_head).ok());
+  // Two writers pin the same head of main and change the same table.
+  ASSERT_TRUE(Commit("main", "a", "k0").ok());
+  PinnedTables first = catalog_->Pin(RefSpec("main"));
+  PinnedTables second = catalog_->Pin(RefSpec("main"));
+  auto won = Publish(first, "main", "a", "k1");
+  ASSERT_TRUE(won.ok()) << won.status().ToString();
+  EXPECT_TRUE(won->fast_forward);
+  // The second one computed its commit against a head main has left.
+  auto lost = Publish(second, "main", "a", "k2");
+  ASSERT_FALSE(lost.ok());
+  EXPECT_TRUE(lost.status().IsConflict()) << lost.status().ToString();
+  EXPECT_EQ(*catalog_->GetTable("main", "a"), "k1");
+  // Re-pinned on the new head, it succeeds.
+  auto retried =
+      Publish(catalog_->Pin(RefSpec("main")), "main", "a", "k2");
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_TRUE(retried->fast_forward);
+  EXPECT_EQ(*catalog_->GetTable("main", "a"), "k2");
 }
 
 TEST_F(CatalogTest, BranchesAreIsolated) {
@@ -241,78 +274,121 @@ TEST_F(CatalogTest, ThreeWayMergeDeletionPropagates) {
   EXPECT_EQ(*catalog_->GetTable("main", "other"), "o/v1");
 }
 
-TEST_F(CatalogTest, EphemeralBranchNamesAreUnique) {
-  auto head = catalog_->BranchHead("main");
-  ASSERT_TRUE(head.ok());
-  auto b1 = catalog_->CreateEphemeralBranch(*head, "run");
-  auto b2 = catalog_->CreateEphemeralBranch(*head, "run");
-  ASSERT_TRUE(b1.ok());
-  ASSERT_TRUE(b2.ok());
-  EXPECT_NE(*b1, *b2);
-  EXPECT_TRUE(catalog_->HasBranch(*b1));
-}
-
 // ------------------------------------------------- transform-audit-write
 
-TEST_F(CatalogTest, TransformAuditWriteCommitsOnSuccess) {
-  auto result = RunTransformAuditWrite(
-      catalog_.get(), "main", "tester",
-      [](Catalog* cat, const std::string& branch) -> Status {
-        TableChanges changes;
-        changes.puts["pickups"] = "pickups/v1";
-        return cat->CommitChanges(branch, "build pickups", "tester",
-                                  changes).status();
-      });
-  ASSERT_TRUE(result.ok());
+TEST_F(CatalogTest, CommitOntoAFreshPinFastForwards) {
+  ASSERT_TRUE(Commit("main", "taxi", "taxi/v1").ok());
+  PinnedTables pin = catalog_->Pin(RefSpec("main"));
+  auto published = Publish(pin, "main", "pickups", "pickups/v1");
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  EXPECT_TRUE(published->fast_forward);
+  EXPECT_EQ(*catalog_->BranchHead("main"), published->commit_id);
+  auto commit = catalog_->GetCommit(published->commit_id);
+  ASSERT_TRUE(commit.ok());
+  EXPECT_EQ(commit->parent_id, pin.commit_id());
+  EXPECT_EQ(commit->message, "run: pickups");
   EXPECT_EQ(*catalog_->GetTable("main", "pickups"), "pickups/v1");
-  // Ephemeral branch is gone.
-  EXPECT_FALSE(catalog_->HasBranch(result->ephemeral_branch));
+  EXPECT_EQ(*catalog_->GetTable("main", "taxi"), "taxi/v1");
+  // No ref besides main exists, before or after.
+  EXPECT_EQ(*catalog_->ListBranches(), std::vector<std::string>{"main"});
 }
 
-TEST_F(CatalogTest, TransformAuditWriteRollsBackOnFailure) {
-  std::string eph_name;
-  auto result = RunTransformAuditWrite(
-      catalog_.get(), "main", "tester",
-      [&eph_name](Catalog* cat, const std::string& branch) -> Status {
-        eph_name = branch;
-        TableChanges changes;
-        changes.puts["dirty"] = "dirty/v1";
-        BAUPLAN_RETURN_NOT_OK(cat->CommitChanges(branch, "dirty write",
-                                                 "tester", changes)
-                                  .status());
-        return Status::FailedPrecondition("expectation failed: mean <= 10");
-      });
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsFailedPrecondition());
-  // Main never saw the dirty table; ephemeral branch is deleted.
-  EXPECT_TRUE(catalog_->GetTable("main", "dirty").status().IsNotFound());
-  EXPECT_FALSE(catalog_->HasBranch(eph_name));
-}
-
-TEST_F(CatalogTest, TransformAuditWriteOnMissingBranchFails) {
-  auto result = RunTransformAuditWrite(
-      catalog_.get(), "nope", "tester",
-      [](Catalog*, const std::string&) { return Status::OK(); });
-  EXPECT_TRUE(result.status().IsNotFound());
-}
-
-TEST_F(CatalogTest, TransformAuditWriteReportsStoreErrorsAsThemselves) {
+TEST_F(CatalogTest, NothingIsVisibleUntilTheCommitIsInstalled) {
+  // A run that fails its audit never calls CommitOnto; one that does is
+  // invisible until the install. Simulate a crash between the commit
+  // write and the ref write by failing every ref PUT.
   storage::FaultInjectionStore faulty(&store_);
   auto opened = Catalog::Open(&faulty, &clock_);
   ASSERT_TRUE(opened.ok());
+  const std::string before = *opened->BranchHead("main");
+  PinnedTables pin = opened->Pin(RefSpec("main"));
+  faulty.FailOnlyPrefix("catalog/refs/");
+  faulty.FailAfter(1);  // the install's ref GET passes, its PUT fails
+  TableChanges changes;
+  changes.puts["dirty"] = "dirty/v1";
+  auto published =
+      opened->CommitOnto(pin, "main", "dirty write", "tester", changes);
+  ASSERT_FALSE(published.ok());
+  EXPECT_TRUE(published.status().IsIOError());
+  faulty.Heal();
+  EXPECT_EQ(*opened->BranchHead("main"), before);
+  EXPECT_TRUE(opened->GetTable("main", "dirty").status().IsNotFound());
+  EXPECT_EQ(RefHeads(), std::vector<std::string>{before});
+}
+
+TEST_F(CatalogTest, CommitOntoAMissingBranchFails) {
+  PinnedTables pin = catalog_->Pin(RefSpec("main"));
+  auto published = Publish(pin, "nope", "pickups", "pickups/v1");
+  EXPECT_TRUE(published.status().IsNotFound())
+      << published.status().ToString();
+  EXPECT_EQ(*catalog_->ListBranches(), std::vector<std::string>{"main"});
+  // A pin that failed to resolve is reported as itself; nothing written.
+  size_t objects_before = store_.object_count();
+  PinnedTables unresolved = catalog_->Pin(RefSpec("nope"));
+  auto from_nothing = Publish(unresolved, "main", "pickups", "pickups/v1");
+  EXPECT_TRUE(from_nothing.status().IsNotFound());
+  EXPECT_EQ(store_.object_count(), objects_before);
+}
+
+TEST_F(CatalogTest, CommitOntoReportsStoreErrorsAsThemselves) {
+  storage::FaultInjectionStore faulty(&store_);
+  auto opened = Catalog::Open(&faulty, &clock_);
+  ASSERT_TRUE(opened.ok());
+  const std::string before = *opened->BranchHead("main");
+  PinnedTables pin = opened->Pin(RefSpec("main"));
   faulty.FailOnlyPrefix("catalog/refs/");
   faulty.FailAfter(0);
-  bool body_ran = false;
-  auto result = RunTransformAuditWrite(
-      &*opened, "main", "tester",
-      [&body_ran](Catalog*, const std::string&) {
-        body_ran = true;
-        return Status::OK();
-      });
-  ASSERT_FALSE(result.ok());
+  TableChanges changes;
+  changes.puts["pickups"] = "pickups/v1";
+  auto published =
+      opened->CommitOnto(pin, "main", "run", "tester", changes);
+  ASSERT_FALSE(published.ok());
   // A transient store error is not "no branch named main".
-  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
-  EXPECT_FALSE(body_ran);
+  EXPECT_TRUE(published.status().IsIOError())
+      << published.status().ToString();
+  faulty.Heal();
+  EXPECT_EQ(*opened->BranchHead("main"), before);
+}
+
+TEST_F(CatalogTest, CommitOntoAStalePinMergesADisjointChange) {
+  ASSERT_TRUE(Commit("main", "taxi", "taxi/v1").ok());
+  PinnedTables pin = catalog_->Pin(RefSpec("main"));
+  auto moved = Commit("main", "zones", "zones/v1");  // another writer
+  ASSERT_TRUE(moved.ok());
+  auto published = Publish(pin, "main", "pickups", "pickups/v1");
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  EXPECT_FALSE(published->fast_forward);
+  auto merge = catalog_->GetCommit(published->commit_id);
+  ASSERT_TRUE(merge.ok());
+  EXPECT_EQ(merge->parent_id, *moved);
+  // The merge's second parent is the publish commit, whose parent is the
+  // pin.
+  auto publish = catalog_->GetCommit(merge->merge_parent_id);
+  ASSERT_TRUE(publish.ok());
+  EXPECT_EQ(publish->parent_id, pin.commit_id());
+  EXPECT_EQ(publish->message, "run: pickups");
+  // Both changes are visible on main.
+  EXPECT_EQ(*catalog_->GetTable("main", "pickups"), "pickups/v1");
+  EXPECT_EQ(*catalog_->GetTable("main", "zones"), "zones/v1");
+  EXPECT_EQ(*catalog_->GetTable("main", "taxi"), "taxi/v1");
+}
+
+TEST_F(CatalogTest, CommitOntoAStalePinConflictsOnTheSameTable) {
+  ASSERT_TRUE(Commit("main", "pickups", "pickups/v1").ok());
+  PinnedTables pin = catalog_->Pin(RefSpec("main"));
+  auto moved = Commit("main", "pickups", "pickups/theirs");
+  ASSERT_TRUE(moved.ok());
+  size_t objects_before = store_.object_count();
+  auto published = Publish(pin, "main", "pickups", "pickups/ours");
+  ASSERT_FALSE(published.ok());
+  EXPECT_TRUE(published.status().IsConflict())
+      << published.status().ToString();
+  // The branch head is unchanged; the publish commit was written but no
+  // ref names it.
+  EXPECT_EQ(*catalog_->BranchHead("main"), *moved);
+  EXPECT_EQ(*catalog_->GetTable("main", "pickups"), "pickups/theirs");
+  EXPECT_EQ(store_.object_count(), objects_before + 1);
+  EXPECT_EQ(RefHeads(), std::vector<std::string>{*moved});
 }
 
 TEST_F(CatalogTest, BranchHeadPropagatesStoreErrors) {

@@ -163,7 +163,7 @@ TEST_F(BauplanTest, RunPaperPipelineFused) {
   EXPECT_EQ(report->spill_metrics.puts, 0);
   EXPECT_EQ(report->spill_metrics.gets, 0);
 
-  // No ephemeral branch left behind.
+  // The run created no branch.
   auto branches = platform_->ListBranches();
   ASSERT_TRUE(branches.ok());
   EXPECT_EQ(branches->size(), 1u);
@@ -633,6 +633,11 @@ size_t CountPrefix(const std::vector<std::string>& calls,
       }));
 }
 
+size_t CountExact(const std::vector<std::string>& calls,
+                  const std::string& call) {
+  return static_cast<size_t>(std::count(calls.begin(), calls.end(), call));
+}
+
 /// `models` independent models over taxi_table, each its own artifact.
 pipeline::PipelineProject ModelsProject(int models) {
   pipeline::PipelineProject project(StrCat("models_", models));
@@ -699,8 +704,8 @@ TEST_F(PublishTest, RunReadsItsBranchOnceAndCommitsOnTopOfIt) {
 
   // The merge is the PUT that moves main; the publish commit is the last
   // commit written before it. Before that commit, the run read main's
-  // ref exactly once: pre-flight, run record, ephemeral branch, DAG and
-  // node bodies all used that one read.
+  // ref exactly once: pre-flight, run record, DAG and node bodies all
+  // used that one read.
   const std::string main_ref = "catalog/refs/branch/main";
   auto merge = std::find(calls.begin(), calls.end(), "PUT " + main_ref);
   ASSERT_NE(merge, calls.end());
@@ -725,6 +730,30 @@ TEST_F(PublishTest, RunReadsItsBranchOnceAndCommitsOnTopOfIt) {
   EXPECT_EQ(published->message, "run 1: pickups, trips");
 }
 
+TEST_F(PublishTest, RunTouchesNoRefButItsBranch) {
+  auto report = platform().Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->merged) << report->status;
+  std::vector<std::string> calls = TakeCalls();
+  // Pin + install read main's ref; one commit is written and main's ref
+  // is written once to point at it. No other ref is read or written,
+  // and nothing is deleted.
+  const std::string main_ref = "catalog/refs/branch/main";
+  EXPECT_EQ(CountExact(calls, "GET " + main_ref), 2u);
+  EXPECT_EQ(CountExact(calls, "PUT " + main_ref), 1u);
+  EXPECT_EQ(CountPrefix(calls, "PUT catalog/commits/"), 1u);
+  EXPECT_EQ(CountExact(calls, "PUT catalog/commits/" +
+                                  report->merged_commit_id),
+            1u);
+  EXPECT_EQ(CountPrefix(calls, "GET catalog/refs/"), 2u);
+  EXPECT_EQ(CountPrefix(calls, "PUT catalog/refs/"), 1u);
+  EXPECT_EQ(CountPrefix(calls, "LIST catalog/refs/"), 0u);
+  EXPECT_EQ(CountPrefix(calls, "GET catalog/refs/branch/run_"), 0u);
+  EXPECT_EQ(CountPrefix(calls, "PUT catalog/refs/branch/run_"), 0u);
+  EXPECT_EQ(CountPrefix(calls, "DELETE "), 0u);
+  EXPECT_EQ(MainHead(), report->merged_commit_id);
+}
+
 TEST_F(PublishTest, QueryAndReplayAtACommitIdProbeNoRefs) {
   auto report = platform().Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
   ASSERT_TRUE(report.ok() && report->merged);
@@ -740,11 +769,6 @@ TEST_F(PublishTest, QueryAndReplayAtACommitIdProbeNoRefs) {
   EXPECT_EQ(CountPrefix(calls, "HEAD "), 0u);
   // Neither one writes a ref.
   EXPECT_EQ(CountPrefix(calls, "PUT catalog/refs/"), 0u);
-}
-
-size_t CountExact(const std::vector<std::string>& calls,
-                  const std::string& call) {
-  return static_cast<size_t>(std::count(calls.begin(), calls.end(), call));
 }
 
 TEST_F(PublishTest, QueryAtACommitIdReadsTheCommitOnceOnAMiss) {

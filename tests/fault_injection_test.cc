@@ -1,8 +1,9 @@
 // Failure injection across the stack: when the object store starts
 // erroring, the catalog must never advance a branch to a commit it did
 // not durably write, table writes must surface IOError instead of
-// corrupting metadata, and pipeline runs must roll their ephemeral
-// branch back.
+// corrupting metadata, and a failed pipeline run must leave its branch
+// where it was: its writes hang off no ref until its one publish commit
+// (whose parent is the pinned head) is installed.
 
 #include <gtest/gtest.h>
 

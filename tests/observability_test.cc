@@ -160,14 +160,12 @@ TEST(MetricsRegistryTest, SameNameSameInstrument) {
 TEST(MetricsRegistryTest, SnapshotFlattensAllInstrumentKinds) {
   MetricsRegistry registry;
   registry.GetCounter("c")->Increment(2);
-  registry.GetDoubleCounter("d")->Add(0.5);
   registry.GetGauge("g")->Set(7);
   registry.GetHistogram("h")->Observe(10);
   registry.GetHistogram("h")->Observe(30);
 
   MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.Get("c"), 2.0);
-  EXPECT_EQ(snapshot.Get("d"), 0.5);
   EXPECT_EQ(snapshot.Get("g"), 7.0);
   EXPECT_EQ(snapshot.Get("h.count"), 2.0);
   EXPECT_EQ(snapshot.Get("h.sum"), 40.0);
@@ -176,10 +174,10 @@ TEST(MetricsRegistryTest, SnapshotFlattensAllInstrumentKinds) {
   EXPECT_EQ(snapshot.Get("missing", -1.0), -1.0);
 
   EXPECT_EQ(snapshot.ToJson(),
-            "{\"c\":2,\"d\":0.5,\"g\":7,\"h.count\":2,\"h.max\":30,"
+            "{\"c\":2,\"g\":7,\"h.count\":2,\"h.max\":30,"
             "\"h.min\":10,\"h.sum\":40}");
   EXPECT_EQ(snapshot.ToText(),
-            "c 2\nd 0.5\ng 7\nh.count 2\nh.max 30\nh.min 10\nh.sum 40\n");
+            "c 2\ng 7\nh.count 2\nh.max 30\nh.min 10\nh.sum 40\n");
 }
 
 TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistration) {
@@ -207,7 +205,6 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationAndUpdates) {
         registry.GetGauge("shared.peak")->SetMax(i);
         registry.GetHistogram("shared.latency")->Observe(
             static_cast<uint64_t>(i));
-        registry.GetDoubleCounter("shared.cost")->Add(0.25);
       }
     });
   }
@@ -224,8 +221,6 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationAndUpdates) {
             kThreads * kIters);
   EXPECT_EQ(registry.GetHistogram("shared.latency")->GetSnapshot().count,
             kThreads * kIters);
-  EXPECT_DOUBLE_EQ(registry.GetDoubleCounter("shared.cost")->Value(),
-                   kThreads * kIters * 0.25);
   EXPECT_EQ(registry.GetGauge("shared.peak")->Value(), kIters - 1);
 }
 

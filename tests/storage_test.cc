@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +186,50 @@ TEST(MeteredStoreTest, ChargesClockAndCountsOps) {
   EXPECT_EQ(m.TotalRequests(), 2);
   EXPECT_GT(m.credits, 0.0);
   EXPECT_EQ(m.simulated_micros, clock.NowMicros());
+}
+
+TEST(MeteredStoreTest, CreditsDoNotDependOnRequestOrder) {
+  // The same multiset of requests, issued from 4 threads in two different
+  // interleavings, bills bit-identical credits. Summing per-request
+  // credits as they land would not: the floating-point sum depends on
+  // the order.
+  constexpr int kThreads = 4;
+  auto sizes_of = [](int thread) {
+    std::vector<size_t> sizes;
+    for (int i = 0; i < 25; ++i) {
+      sizes.push_back(static_cast<size_t>((thread * 25 + i) * 7919 % 100003) *
+                      (i % 3 == 0 ? 13 : 1));
+    }
+    return sizes;
+  };
+  auto bill = [&](bool reversed) {
+    MemoryObjectStore base;
+    SimClock clock;
+    MeteredObjectStore store(&base, &clock, LatencyModel());
+    for (int n = 0; n < kThreads; ++n) {
+      const int t = reversed ? kThreads - 1 - n : n;
+      std::thread worker([&, t] {
+        std::vector<size_t> sizes = sizes_of(t);
+        if (reversed) std::reverse(sizes.begin(), sizes.end());
+        for (size_t size : sizes) {
+          std::string key = "obj/" + std::to_string(t) + "/" +
+                            std::to_string(size);
+          EXPECT_TRUE(store.Put(key, Bytes(size, 1)).ok());
+          EXPECT_TRUE(store.Get(key).ok());
+        }
+      });
+      worker.join();
+    }
+    return store.metrics();
+  };
+  StoreMetrics forward = bill(false);
+  StoreMetrics backward = bill(true);
+  EXPECT_EQ(forward.TotalRequests(), 200);
+  EXPECT_EQ(backward.TotalRequests(), 200);
+  EXPECT_EQ(forward.bytes_written, backward.bytes_written);
+  EXPECT_GT(forward.credits, 0.0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(forward.credits),
+            std::bit_cast<uint64_t>(backward.credits));
 }
 
 TEST(MeteredStoreTest, PassesThroughErrors) {
