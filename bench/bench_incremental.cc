@@ -20,6 +20,12 @@
 //   fault       every "cache/" store op fails: the run must still
 //               succeed (degradation contract — zero hits, zero
 //               failures), and the next healed run re-inserts
+//   fused_warm  the healed project again, fused: every node a hit, no
+//               function invoked, no data byte written, no commit, and
+//               artifacts bit-identical to the cache-off reference
+//   fused_edit  a second fan-out node mutated, fused: only that node
+//               executes, the only data files written are its own, and
+//               artifacts are bit-identical to a cold --no-cache run
 //
 // `--smoke` shrinks the dataset and skips the wall-clock gate (wired
 // into ctest); the full run writes BENCH_incremental.json either way.
@@ -30,6 +36,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -95,6 +102,66 @@ void CheckBitIdentical(const std::map<std::string, bauplan::Bytes>& a,
   }
 }
 
+/// Passes every call through and tallies the data-file PUTs and the
+/// catalog commit PUTs made through it.
+class WriteTally : public bauplan::storage::ObjectStore {
+ public:
+  explicit WriteTally(bauplan::storage::ObjectStore* base) : base_(base) {}
+
+  bauplan::Status Put(const std::string& key, bauplan::Bytes data) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (key.rfind("lake/", 0) == 0 &&
+          key.find("/data/") != std::string::npos) {
+        data_bytes_ += data.size();
+        data_keys_.push_back(key);
+      }
+      if (key.rfind("catalog/commits/", 0) == 0) ++commits_;
+    }
+    return base_->Put(key, std::move(data));
+  }
+  bauplan::Result<bauplan::Bytes> Get(const std::string& key) const override {
+    return base_->Get(key);
+  }
+  bauplan::Result<uint64_t> Head(const std::string& key) const override {
+    return base_->Head(key);
+  }
+  bauplan::Status Delete(const std::string& key) override {
+    return base_->Delete(key);
+  }
+  bauplan::Result<std::vector<bauplan::storage::ObjectMeta>> List(
+      const std::string& prefix) const override {
+    return base_->List(prefix);
+  }
+
+  /// Data bytes, data keys and commits since the last Reset.
+  uint64_t data_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return data_bytes_;
+  }
+  std::vector<std::string> data_keys() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return data_keys_;
+  }
+  int64_t commits() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return commits_;
+  }
+  void Reset() {
+    std::lock_guard<std::mutex> lock(mu_);
+    data_bytes_ = 0;
+    data_keys_.clear();
+    commits_ = 0;
+  }
+
+ private:
+  bauplan::storage::ObjectStore* base_;
+  mutable std::mutex mu_;
+  uint64_t data_bytes_ = 0;
+  std::vector<std::string> data_keys_;
+  int64_t commits_ = 0;
+};
+
 struct PhaseRow {
   std::string phase;
   uint64_t simulated_micros = 0;
@@ -102,6 +169,9 @@ struct PhaseRow {
   int64_t hits = 0;
   int64_t skipped = 0;
   size_t executed = 0;
+  uint64_t data_bytes_written = 0;
+  int64_t commits = 0;
+  bool invoked = true;  // fused runs: whether the one function ran
 };
 
 }  // namespace
@@ -118,8 +188,9 @@ int main(int argc, char** argv) {
   // lake lets the fault phase break exactly the "cache/" prefix.
   bauplan::storage::MemoryObjectStore base;
   bauplan::storage::FaultInjectionStore store(&base);
+  WriteTally tally(&store);
   bauplan::SimClock clock(1700000000000000ull);
-  auto platform = bauplan::core::Bauplan::Open(&store, &clock);
+  auto platform = bauplan::core::Bauplan::Open(&tally, &clock);
   if (!platform.ok()) Gate(platform.status().ToString());
   bauplan::core::Bauplan& bp = **platform;
 
@@ -149,6 +220,7 @@ int main(int argc, char** argv) {
       -> bauplan::core::RunReport {
     int64_t hits_before = bp.artifact_cache_stats().hits;
     int64_t skipped_before = skipped_counter->Value();
+    tally.Reset();
     auto wall_start = std::chrono::steady_clock::now();
     auto report = bp.Run(proj, "main", opts);
     double wall_ms =
@@ -169,14 +241,19 @@ int main(int argc, char** argv) {
     for (const auto& node : report->nodes) {
       if (!node.cache_hit) ++row.executed;
     }
+    row.data_bytes_written = tally.data_bytes();
+    row.commits = tally.commits();
+    row.invoked = !opts.fused || report->fused.has_value();
     rows_out.push_back(row);
     std::printf(
         "%-12s simulated=%-10s wall=%7.1f ms  hits=%-3lld "
-        "skipped=%-3lld executed=%zu/%zu\n",
+        "skipped=%-3lld executed=%zu/%zu data_written=%-9llu commits=%lld\n",
         phase.c_str(),
         bauplan::FormatDurationMicros(report->total_micros).c_str(),
         wall_ms, static_cast<long long>(row.hits),
-        static_cast<long long>(row.skipped), row.executed, node_count);
+        static_cast<long long>(row.skipped), row.executed, node_count,
+        static_cast<unsigned long long>(row.data_bytes_written),
+        static_cast<long long>(row.commits));
     return std::move(*report);
   };
 
@@ -223,10 +300,11 @@ int main(int argc, char** argv) {
   Check(incremental.total_micros < cold.total_micros,
         "incremental run must beat the cold run on the simulated clock");
 
-  // Reference: the same mutated project, cold, cache off, on a pristine
-  // platform over the same seed data. Incremental must be
-  // bit-identical — the cache may never change what a run produces.
-  {
+  // Reference: the same project, cold, cache off, on a pristine platform
+  // over the same seed data. Cached runs must be bit-identical to it —
+  // the cache may never change what a run produces.
+  auto cold_reference = [&](const bauplan::pipeline::PipelineProject& proj,
+                            double* wall_ms) -> bauplan::core::RunReport {
     bauplan::storage::MemoryObjectStore ref_base;
     bauplan::SimClock ref_clock(1700000000000000ull);
     auto ref_platform =
@@ -239,26 +317,29 @@ int main(int argc, char** argv) {
     bauplan::core::PipelineRunOptions no_cache = options;
     no_cache.use_cache = false;
     auto wall_start = std::chrono::steady_clock::now();
-    auto reference = ref_bp.Run(mutated, "main", no_cache);
-    double ref_wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
+    auto reference = ref_bp.Run(proj, "main", no_cache);
+    *wall_ms = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - wall_start)
+                   .count();
     if (!reference.ok()) {
       Gate(StrCat("reference run failed: ",
                   reference.status().ToString()));
     }
-    CheckBitIdentical(ArtifactBytes(*reference),
-                      ArtifactBytes(incremental),
-                      "incremental-vs-cold-reference");
-    Check(incremental.total_micros < reference->total_micros,
-          "incremental run must beat a cold run of the mutated project");
     std::printf(
         "%-12s simulated=%-10s wall=%7.1f ms  (no cache, pristine "
         "platform)\n",
         "reference",
         bauplan::FormatDurationMicros(reference->total_micros).c_str(),
-        ref_wall_ms);
+        *wall_ms);
+    return std::move(*reference);
+  };
+  {
+    double ref_wall_ms = 0;
+    auto reference = cold_reference(mutated, &ref_wall_ms);
+    CheckBitIdentical(ArtifactBytes(reference), ArtifactBytes(incremental),
+                      "incremental-vs-cold-reference");
+    Check(incremental.total_micros < reference.total_micros,
+          "incremental run must beat a cold run of the mutated project");
     // Simulated gates above are deterministic; the wall-clock gate only
     // runs on full datasets where the executed work dominates noise.
     if (!smoke) {
@@ -289,6 +370,44 @@ int main(int argc, char** argv) {
   Check(bp.artifact_cache_stats().inserts > inserts_before,
         "healed run must insert again");
 
+  // ---- fused_warm: an all-hit fused run does no work at all --------
+  bauplan::core::PipelineRunOptions fused;  // fused, cache on
+  auto fused_warm = run_phase("fused_warm", mutated, fused);
+  Check(rows_out.back().hits == static_cast<int64_t>(node_count),
+        StrCat("fused warm run must hit every node, hit ",
+               rows_out.back().hits));
+  Check(!rows_out.back().invoked, "fused warm run invoked a function");
+  Check(rows_out.back().data_bytes_written == 0,
+        StrCat("fused warm run wrote ", rows_out.back().data_bytes_written,
+               " data bytes"));
+  Check(rows_out.back().commits == 0, "fused warm run added a commit");
+  CheckBitIdentical(ArtifactBytes(incremental), ArtifactBytes(fused_warm),
+                    "fused-warm-vs-cold-reference");
+
+  // ---- fused_edit: only the edited cone executes and is written ------
+  const std::string edited_sql =
+      "SELECT dropoff_location_id, COUNT(*) AS rides_2 FROM taxi_table "
+      "WHERE passenger_count <= 2 GROUP BY dropoff_location_id ORDER BY "
+      "dropoff_location_id";
+  auto edited = MutateNode(mutated, "fan_2", edited_sql);
+  auto fused_edit = run_phase("fused_edit", edited, fused);
+  Check(rows_out.back().executed == 1,
+        StrCat("fused edited run must execute exactly fan_2, executed ",
+               rows_out.back().executed));
+  Check(rows_out.back().commits == 1, "fused edited run must commit once");
+  Check(rows_out.back().data_bytes_written > 0,
+        "fused edited run must write fan_2's data");
+  for (const std::string& key : tally.data_keys()) {
+    Check(key.rfind("lake/fan_2/data/", 0) == 0,
+          StrCat("fused edited run wrote outside its cone: ", key));
+  }
+  {
+    double ref_wall_ms = 0;
+    auto reference = cold_reference(edited, &ref_wall_ms);
+    CheckBitIdentical(ArtifactBytes(reference), ArtifactBytes(fused_edit),
+                      "fused-edit-vs-cold-reference");
+  }
+
   std::ofstream json_out("BENCH_incremental.json");
   if (json_out) {
     json_out << "{\n  \"bench\": \"incremental\",\n  \"rows\": " << rows
@@ -303,7 +422,10 @@ int main(int argc, char** argv) {
                << ", \"wall_ms\": " << r.wall_ms
                << ", \"cache_hits\": " << r.hits
                << ", \"skipped_invocations\": " << r.skipped
-               << ", \"executed_nodes\": " << r.executed << "}"
+               << ", \"executed_nodes\": " << r.executed
+               << ", \"data_bytes_written\": " << r.data_bytes_written
+               << ", \"commits\": " << r.commits
+               << ", \"invoked\": " << (r.invoked ? "true" : "false") << "}"
                << (i + 1 < rows_out.size() ? ",\n" : "\n");
     }
     json_out << "  ]\n}\n";

@@ -3,11 +3,12 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "columnar/table.h"
 #include "common/bytes.h"
@@ -15,49 +16,72 @@
 #include "observability/metrics.h"
 #include "pipeline/project.h"
 #include "storage/object_store.h"
+#include "table/metadata.h"
+#include "table/table_ops.h"
 
 namespace bauplan::cache {
 
-/// What one cached pipeline node produced: a post-audit table artifact
-/// (SQL models) or a recorded audit outcome (expectations).
+/// What one cached pipeline node produced. A SQL model's entry names the
+/// lake files its post-audit artifact was published under (the cache
+/// holds no copy of the data); an expectation's entry is its recorded
+/// audit outcome.
 struct CachedArtifact {
   pipeline::NodeKind kind = pipeline::NodeKind::kSqlModel;
-  /// SQL models only.
-  columnar::Table table;
+  int64_t output_rows = 0;
+  /// SQL models only: the artifact's schema, and the content-addressed
+  /// manifest and data files of the snapshot that published it. The
+  /// files decode, in order, to exactly the artifact's rows.
+  columnar::Schema schema;
+  std::string manifest_key;
+  std::vector<table::DataFile> files;
   /// Expectations only.
   bool expectation_passed = true;
   std::string details;
-  int64_t output_rows = 0;
+
+  /// Total size of the named data files.
+  uint64_t FileBytes() const;
 
   Bytes Serialize() const;
   static Result<CachedArtifact> Deserialize(const Bytes& bytes);
 };
 
+/// A probe's answer for one key: the entry, and for a SQL model the
+/// artifact decoded from the files the entry names.
+struct CacheHit {
+  CachedArtifact artifact;
+  columnar::Table table;
+};
+
 /// Content-addressed differential artifact cache: memoizes per-node
 /// pipeline outputs under their fingerprint keys (cache/fingerprint.h)
-/// so a re-run can skip every unchanged node. Entries live in an
-/// ObjectStore under "<prefix>/<key>" — hand it the platform's metered
-/// lake store and the cache persists across processes, pays the modeled
-/// object-storage latency, and composes with MeteredObjectStore,
-/// FaultInjectionStore and the cost model like any other I/O.
+/// so a re-run can skip every unchanged node. Entries are small objects
+/// in an ObjectStore under "<prefix>/<key>"; a SQL model's entry names
+/// the data files its artifact was published under in the lake, so a
+/// hit reads the lake's own files and a run can publish it by reference.
+/// Hand it the platform's metered lake store and the cache persists
+/// across processes, pays the modeled object-storage latency, and
+/// composes with MeteredObjectStore, FaultInjectionStore and the cost
+/// model like any other I/O.
 ///
 /// Degradation contract: the cache can make a run faster, never fail it.
-/// Every store error — probe get, insert put, eviction delete, index
-/// list — degrades to a miss (or a skipped insert) and the run proceeds
-/// as if the cache were cold. A corrupt entry is dropped from the index
-/// on first touch.
+/// Every store error — entry get, file get, insert put, eviction delete,
+/// index list — degrades to a miss (or a skipped insert) and the run
+/// proceeds as if the cache were cold. An entry that is corrupt, or that
+/// names a file which is missing (snapshot expiry, out-of-band deletion)
+/// or does not decode to what the entry says, is dropped on first touch.
 ///
-/// Capacity: `budget_bytes` bounds the total serialized payload; 0
+/// Capacity: `budget_bytes` bounds the sum of the entries' charges, each
+/// the bytes of the files it names plus its own serialized size; 0
 /// disables the cache entirely. Inserts evict least-recently-used
-/// entries (deleting their objects) until the newcomer fits; an entry
-/// larger than the whole budget is not stored.
+/// entries until the newcomer fits; an entry charged more than the whole
+/// budget is not stored. Eviction deletes the entry object, never a lake
+/// file: the files belong to the table snapshots that published them.
 ///
 /// Counters register as cache.{hits,misses,inserts,evictions} plus the
 /// cache.bytes gauge; `skipped_invocations` is counted by the runner.
 ///
-/// Thread safety: all operations take an internal mutex (probes happen
-/// on the run driver thread, but fused bodies probe from inside a
-/// function invocation).
+/// Thread safety: all operations are safe to call concurrently (a run
+/// probes from its driver thread; its publish wave inserts from several).
 class ArtifactCache {
  public:
   struct Stats {
@@ -78,17 +102,22 @@ class ArtifactCache {
   uint64_t budget_bytes() const { return budget_bytes_; }
 
   /// Rebuilds the in-memory index from the store so a fresh process sees
-  /// entries persisted by earlier ones. List errors degrade to an empty
-  /// index; entries beyond the budget are evicted immediately (the
-  /// budget may have shrunk since they were written).
+  /// entries persisted by earlier ones: one List, then one GetMany of the
+  /// entries to learn their charges. Errors degrade to an empty index (or
+  /// a skipped entry; a corrupt one is deleted); entries beyond the
+  /// budget are evicted immediately (the budget may have shrunk since
+  /// they were written).
   void LoadIndex();
 
-  /// Returns the artifact cached under `key`, or nullopt on a miss. Any
-  /// store or decode error is a miss.
-  std::optional<CachedArtifact> Lookup(const std::string& key);
+  /// Probes every key at once: one GetMany for the entries the index
+  /// holds, then one batch (`ops.ReadFileSets`) for the data files the
+  /// SQL-model entries name, decoded by the BPF reader. Returns the hits
+  /// by key; every other key is a miss. Empty keys are skipped.
+  std::map<std::string, CacheHit> Probe(const std::vector<std::string>& keys,
+                                        const table::TableOps& ops);
 
-  /// Stores an artifact under `key`. Never fails: store errors, an
-  /// over-budget payload, or a disabled cache all just skip the insert.
+  /// Stores an entry under `key`. Never fails: store errors, an
+  /// over-budget charge, or a disabled cache all just skip the insert.
   void Insert(const std::string& key, const CachedArtifact& artifact);
 
   /// Deletes every cached entry (objects and index); returns how many

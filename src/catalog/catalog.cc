@@ -1,5 +1,6 @@
 #include "catalog/catalog.h"
 
+#include <map>
 #include <set>
 
 #include "common/strings.h"
@@ -293,41 +294,71 @@ Result<MergeResult> Catalog::Install(const Commit& source,
                                      const std::string& to_branch,
                                      const std::string& to_head,
                                      const std::string& author) {
-  // Walk the source's first-parent chain. Reaching the target head means
-  // a fast-forward, found by reading only the commits the source added.
-  std::set<std::string> from_chain = {source.id};
-  for (std::string id = source.parent_id; !id.empty();) {
-    if (id == to_head) {
-      BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, source.id));
-      return MergeResult{source.id, true};
-    }
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    from_chain.insert(id);
-    id = c.parent_id;
-  }
-
-  // Otherwise the merge base is the first commit on the target's chain
-  // that the source also has. A base equal to the source means the
-  // source is already merged.
-  std::optional<Commit> ours;
-  std::string base_id = to_head;
-  while (from_chain.count(base_id) == 0) {
-    if (base_id.empty()) {
+  // Walk both first-parent chains in step and stop at the first commit
+  // both reach: the merge base. An id is known from its child before it
+  // is read, so a fast-forward onto a head the source names as its
+  // parent reads nothing. The source's chain leads by two reads, so a
+  // fast-forward over up to three new commits reads only those; after
+  // that the chains alternate, and a branch that moved by a few commits
+  // costs a few reads whatever the length of history.
+  std::map<std::string, Commit> read;
+  std::set<std::string> on_source = {source.id};
+  std::set<std::string> on_target = {to_head};
+  std::string source_next = source.parent_id;  // known, not yet read
+  std::string target_next = to_head;
+  std::string base_id;
+  if (!source_next.empty()) on_source.insert(source_next);
+  if (on_source.count(to_head) > 0) base_id = to_head;
+  // Reads `*next`, steps it to its parent, and reports whether the parent
+  // is already known on the other chain.
+  auto step = [&](std::string* next, std::set<std::string>* mine,
+                  const std::set<std::string>& theirs) -> Result<bool> {
+    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(*next));
+    std::string parent = c.parent_id;
+    read.emplace(*next, std::move(c));
+    *next = parent;
+    if (parent.empty()) return false;
+    mine->insert(parent);
+    if (theirs.count(parent) == 0) return false;
+    base_id = parent;
+    return true;
+  };
+  for (int source_reads = 0; base_id.empty();) {
+    if (source_next.empty() && target_next.empty()) {
       return Status::Internal(
           "commits share no ancestor (disjoint histories)");
     }
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(base_id));
-    base_id = c.parent_id;
-    if (!ours.has_value()) ours = std::move(c);
+    if (!source_next.empty()) {
+      ++source_reads;
+      BAUPLAN_ASSIGN_OR_RETURN(bool met,
+                               step(&source_next, &on_source, on_target));
+      if (met) break;
+    }
+    if (!target_next.empty() && (source_reads >= 2 || source_next.empty())) {
+      BAUPLAN_ASSIGN_OR_RETURN(bool met,
+                               step(&target_next, &on_target, on_source));
+      if (met) break;
+    }
   }
+  if (base_id == to_head) {
+    BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, source.id));
+    return MergeResult{source.id, true};
+  }
+  // A base equal to the source means the source is already merged.
   if (base_id == source.id) return MergeResult{to_head, true};
+  auto commit = [&](const std::string& id) -> Result<Commit> {
+    auto it = read.find(id);
+    if (it != read.end()) return it->second;
+    return GetCommit(id);
+  };
+  BAUPLAN_ASSIGN_OR_RETURN(Commit ours, commit(to_head));
 
   // Three-way merge against the base.
-  BAUPLAN_ASSIGN_OR_RETURN(Commit base, GetCommit(base_id));
-  std::map<std::string, std::string> merged = ours->tables;
+  BAUPLAN_ASSIGN_OR_RETURN(Commit base, commit(base_id));
+  std::map<std::string, std::string> merged = ours.tables;
   std::set<std::string> all_names;
   for (const auto& [n, k] : base.tables) all_names.insert(n);
-  for (const auto& [n, k] : ours->tables) all_names.insert(n);
+  for (const auto& [n, k] : ours.tables) all_names.insert(n);
   for (const auto& [n, k] : source.tables) all_names.insert(n);
 
   auto lookup = [](const std::map<std::string, std::string>& m,
@@ -337,7 +368,7 @@ Result<MergeResult> Catalog::Install(const Commit& source,
   };
   for (const auto& name : all_names) {
     std::string in_base = lookup(base.tables, name);
-    std::string in_ours = lookup(ours->tables, name);
+    std::string in_ours = lookup(ours.tables, name);
     std::string in_theirs = lookup(source.tables, name);
     if (in_ours == in_theirs) continue;  // agree (incl. both deleted)
     bool ours_changed = in_ours != in_base;
@@ -357,7 +388,7 @@ Result<MergeResult> Catalog::Install(const Commit& source,
   }
 
   Commit merge;
-  merge.parent_id = ours->id;
+  merge.parent_id = ours.id;
   merge.merge_parent_id = source.id;
   merge.message = StrCat("merge ", source_name, " into ", to_branch);
   merge.author = author;

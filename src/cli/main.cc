@@ -115,7 +115,8 @@ branch, tag, commit id, or "name@timestamp" (epoch micros or ISO8601)
 for as-of reads. BAUPLAN_LOG_LEVEL=debug|info|warn|error adjusts log
 verbosity. BAUPLAN_THREADS and BAUPLAN_MEMORY_BUDGET set execution
 defaults for query and run; --threads / --memory-budget override them.
-Exit codes: 0 ok, 1 error, 2 usage error (or run not merged).
+Exit codes: 0 ok, 1 error, 2 usage error (or run not merged, or query
+text the parser rejects).
 )";
 
 /// One flag a verb accepts: canonical spelling, optional alias (stored
@@ -462,6 +463,12 @@ int Main(int argc, char** argv) {
     if (!budget.ok()) return UsageError(budget.status().message());
     options.exec.memory_budget_bytes = *budget;
     auto result = bp.Query(args.Get("-q"), *ref, options);
+    // Text the parser rejects (a syntax error, nesting past the depth
+    // limit) is bad input, like a bad flag.
+    if (result.status().IsInvalidArgument()) {
+      Fail(result.status());
+      return 2;
+    }
     if (!result.ok()) return Fail(result.status());
     if (args.Has("--explain")) {
       std::printf("-- physical plan --\n%s\n",

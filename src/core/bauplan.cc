@@ -266,16 +266,16 @@ Result<analysis::AnalysisResult> Bauplan::Check(
     const pipeline::PipelineProject& project, const catalog::RefSpec& ref) {
   catalog::PinnedTables pinned = catalog_->Pin(ref);
   BAUPLAN_RETURN_NOT_OK(pinned.tables().status());
-  return CheckPinned(project, pinned);
+  return CheckPinned(project, pinned, nullptr);
 }
 
 analysis::AnalysisResult Bauplan::CheckPinned(
     const pipeline::PipelineProject& project,
-    const catalog::PinnedTables& pinned) {
+    const catalog::PinnedTables& pinned, const MetadataByKey* metadata) {
   std::set<std::string> known;
   for (const auto& [name, key] : *pinned.tables()) known.insert(name);
   // Schemas resolve at the pinned commit, exactly as a run's scans would.
-  LakehouseSource source(table_ops_.get(), pinned);
+  LakehouseSource source(table_ops_.get(), pinned, metadata);
   analysis::Analyzer analyzer(std::move(known), &source);
   analysis::AnalyzerOptions opts;
   opts.tracer = tracer_.get();
@@ -298,19 +298,47 @@ analysis::AnalysisResult Bauplan::CheckPinned(
 
 namespace {
 
-/// Writes one artifact as a new snapshot of its table, starting from the
-/// table's metadata at the pinned commit (or a fresh table), and returns
-/// the new metadata key. Touches only that table's keys.
-Result<std::string> WriteArtifact(table::TableOps* ops,
-                                  const catalog::PinnedTables& pinned,
-                                  const std::string& name,
-                                  const columnar::Table& data) {
+/// Publishes artifact `name` as a new snapshot of its table, starting
+/// from the table's metadata at the pinned commit (`metadata` when it
+/// holds it) or from a fresh table; touches only that table's keys. A
+/// cache hit publishes by reference: when the pinned snapshot already is
+/// the entry's manifest nothing is written (nullopt), and otherwise the
+/// entry's files are committed as they are, with no data byte. Anything
+/// else writes `data`.
+Result<std::optional<table::WrittenSnapshot>> PublishArtifact(
+    table::TableOps* ops, const catalog::PinnedTables& pinned,
+    const MetadataByKey& metadata, const std::string& name,
+    const columnar::Table& data, const cache::CachedArtifact* hit) {
+  table::TableMetadata current;
   auto metadata_key = pinned.GetTable(name);
   if (metadata_key.status().IsNotFound()) {
-    metadata_key = ops->CreateTable(name, data.schema());
+    BAUPLAN_ASSIGN_OR_RETURN(std::string created,
+                             ops->CreateTable(name, data.schema()));
+    BAUPLAN_ASSIGN_OR_RETURN(current, ops->LoadMetadata(created));
+  } else {
+    BAUPLAN_RETURN_NOT_OK(metadata_key.status());
+    auto it = metadata.find(*metadata_key);
+    if (it != metadata.end()) {
+      current = it->second;
+    } else {
+      BAUPLAN_ASSIGN_OR_RETURN(current, ops->LoadMetadata(*metadata_key));
+    }
   }
-  BAUPLAN_RETURN_NOT_OK(metadata_key.status());
-  return ops->Overwrite(*metadata_key, data);
+  if (hit != nullptr && current.schema == hit->schema &&
+      current.spec.IsUnpartitioned()) {
+    auto snapshot = current.CurrentSnapshot();
+    if (snapshot.ok() && snapshot->manifest_keys ==
+                             std::vector<std::string>{hit->manifest_key}) {
+      return std::nullopt;
+    }
+    BAUPLAN_ASSIGN_OR_RETURN(
+        table::WrittenSnapshot by_reference,
+        ops->CommitFileSet(std::move(current), hit->files, "overwrite"));
+    return std::optional<table::WrittenSnapshot>(std::move(by_reference));
+  }
+  BAUPLAN_ASSIGN_OR_RETURN(table::WrittenSnapshot fresh,
+                           ops->Overwrite(std::move(current), data));
+  return std::optional<table::WrittenSnapshot>(std::move(fresh));
 }
 
 /// Threads of a run's write wave. Simulated time does not depend on it.
@@ -319,41 +347,91 @@ constexpr int kWriteWaveThreads = 4;
 }  // namespace
 
 Result<catalog::MergeResult> Bauplan::MaterializeArtifacts(
-    const RunReport& execution, const catalog::PinnedTables& pinned,
+    const RunReport& execution, const CacheLedger& ledger,
+    const catalog::PinnedTables& pinned, const MetadataByKey& metadata,
     const std::string& branch) {
-  if (execution.artifacts.empty()) {
-    BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->BranchHead(branch));
-    return catalog::MergeResult{head, true};
-  }
+  // Wave members: every artifact, then every freshly audited expectation
+  // whose outcome the cache may record.
   std::vector<std::string> names;
   std::vector<const columnar::Table*> data;
   for (const auto& [name, table] : execution.artifacts) {
     names.push_back(name);
     data.push_back(&table);
   }
-  std::vector<Result<std::string>> written(
+  std::vector<const NodeExecution*> outcomes;
+  for (const NodeExecution& node : execution.nodes) {
+    if (node.kind == pipeline::NodeKind::kExpectation && !node.cache_hit &&
+        !ledger.keys.Find(node.name).empty()) {
+      outcomes.push_back(&node);
+    }
+  }
+
+  std::vector<Result<std::optional<table::WrittenSnapshot>>> written(
       names.size(), Status::Internal("artifact not written"));
-  auto write = [&](size_t i) {
-    written[i] = WriteArtifact(table_ops_.get(), pinned, names[i], *data[i]);
+  auto member = [&](size_t i) {
+    if (i >= names.size()) {
+      const NodeExecution& node = *outcomes[i - names.size()];
+      cache::CachedArtifact outcome;
+      outcome.kind = node.kind;
+      outcome.output_rows = node.output_rows;
+      outcome.expectation_passed = node.expectation_passed;
+      outcome.details = node.details;
+      artifact_cache_->Insert(ledger.keys.Find(node.name), outcome);
+      return;
+    }
+    auto hit = ledger.hits.find(names[i]);
+    written[i] = PublishArtifact(
+        table_ops_.get(), pinned, metadata, names[i], *data[i],
+        hit == ledger.hits.end() ? nullptr : &hit->second);
+    // A freshly written artifact is memoized as the files it now lives
+    // in when its table is unpartitioned: that one file (none for an
+    // empty table) decodes back to the artifact in row order.
+    const std::string& key = ledger.keys.Find(names[i]);
+    if (hit != ledger.hits.end() || key.empty() || !written[i].ok() ||
+        !written[i]->has_value()) {
+      return;
+    }
+    const table::WrittenSnapshot& snapshot = **written[i];
+    for (const auto& file : snapshot.files) {
+      if (!file.partition.empty()) return;
+    }
+    cache::CachedArtifact entry;
+    entry.kind = pipeline::NodeKind::kSqlModel;
+    entry.output_rows = data[i]->num_rows();
+    entry.schema = data[i]->schema();
+    entry.manifest_key = snapshot.manifest_key;
+    entry.files = snapshot.files;
+    artifact_cache_->Insert(key, entry);
   };
-  // One write wave: every artifact starts at the same instant on its own
+  // One write wave: every member starts at the same instant on its own
   // fork, and the run waits for the slowest.
-  std::vector<uint64_t> elapsed = fork_clock_->RunForked(
-      std::vector<uint64_t>(names.size(), fork_clock_->NowMicros()),
-      kWriteWaveThreads, write);
-  fork_clock_->AdvanceMicros(
-      *std::max_element(elapsed.begin(), elapsed.end()));
+  const size_t members = names.size() + outcomes.size();
+  if (members > 0) {
+    std::vector<uint64_t> elapsed = fork_clock_->RunForked(
+        std::vector<uint64_t>(members, fork_clock_->NowMicros()),
+        kWriteWaveThreads, member);
+    fork_clock_->AdvanceMicros(
+        *std::max_element(elapsed.begin(), elapsed.end()));
+  }
 
   // Nothing is committed unless every write landed; the error is the
   // first failure in artifact-name order, whichever thread hit it first.
   catalog::TableChanges changes;
+  std::vector<std::string> changed;
   for (size_t i = 0; i < names.size(); ++i) {
     BAUPLAN_RETURN_NOT_OK(written[i].status());
-    changes.puts[names[i]] = *written[i];
+    if (!written[i]->has_value()) continue;
+    changes.puts[names[i]] = (*written[i])->metadata_key;
+    changed.push_back(names[i]);
+  }
+  // No table changed: the branch already holds every artifact.
+  if (changes.puts.empty()) {
+    BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->BranchHead(branch));
+    return catalog::MergeResult{head, true};
   }
   return catalog_->CommitOnto(
       pinned, branch,
-      StrCat("run ", execution.run_id, ": ", StrJoin(names, ", ")),
+      StrCat("run ", execution.run_id, ": ", StrJoin(changed, ", ")),
       options_.author, changes);
 }
 
@@ -366,12 +444,30 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->BranchHead(branch));
   const catalog::PinnedTables pinned = catalog_->PinCommit(head, branch);
   BAUPLAN_RETURN_NOT_OK(pinned.tables().status());
+  std::set<std::string> known;
+  for (const auto& [name, key] : *pinned.tables()) known.insert(name);
+  auto dag = pipeline::Dag::Build(project, known);
+
+  // The metadata of every pinned table the project names (its models'
+  // tables and the DAG's sources), loaded as one batch and shared by the
+  // pre-flight, the node bodies and the publish.
+  std::set<std::string> named;
+  for (const auto& node : project.nodes()) named.insert(node.name);
+  if (dag.ok()) {
+    for (const auto& name : dag->execution_order()) {
+      for (const auto& source : dag->GetNode(name).source_tables) {
+        named.insert(source);
+      }
+    }
+  }
+  const MetadataByKey metadata =
+      LoadPinnedMetadata(*table_ops_, pinned, named);
 
   // Pre-flight: refuse to schedule a project the analyzer rejects —
   // before a run is registered or any container is acquired.
   // `--no-verify` (options.verify = false) skips this.
   if (options.verify) {
-    analysis::AnalysisResult check = CheckPinned(project, pinned);
+    analysis::AnalysisResult check = CheckPinned(project, pinned, &metadata);
     if (!check.ok()) {
       return Status::FailedPrecondition(
           StrCat("project failed static analysis (re-run with --no-verify "
@@ -391,7 +487,7 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   // failed run leaves no ref to clean up.
   auto fail = [&](const std::string& why) -> Result<RunReport> {
     BAUPLAN_RETURN_NOT_OK(
-        registry_->FinishRun(record.run_id, StrCat("failed: ", why)));
+        registry_->FinishRun(record, StrCat("failed: ", why)));
     report.status = StrCat("failed: ", why);
     report.merged = false;
     report.metrics = metrics_->Snapshot();
@@ -401,9 +497,6 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
     return report;
   };
 
-  std::set<std::string> known;
-  for (const auto& [name, key] : *pinned.tables()) known.insert(name);
-  auto dag = pipeline::Dag::Build(project, known);
   if (!dag.ok()) return fail(dag.status().ToString());
 
   // Same platform defaulting queries get: node bodies report exec.*
@@ -414,7 +507,8 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   if (wired.exec.spill_store == nullptr) {
     wired.exec.spill_store = spill_store_.get();
   }
-  auto execution = runner_->Execute(*dag, pinned, wired);
+  CacheLedger ledger;
+  auto execution = runner_->Execute(*dag, pinned, wired, &metadata, &ledger);
   if (!execution.ok()) return fail(execution.status().ToString());
   // The runner produced the execution half of the report; keep the
   // identity fields the facade already filled in.
@@ -434,10 +528,11 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   }
 
   // Audit passed: publish the artifacts as one commit onto the pinned
-  // head (a fast-forward of `branch` unless it moved).
+  // head (a fast-forward of `branch` unless it moved), memoizing what
+  // the run computed as it goes.
   const uint64_t publish_start = fork_clock_->NowMicros();
   Result<catalog::MergeResult> merged =
-      MaterializeArtifacts(report, pinned, branch);
+      MaterializeArtifacts(report, ledger, pinned, metadata, branch);
   report.publish_micros = fork_clock_->NowMicros() - publish_start;
   if (!merged.ok()) return fail(merged.status().ToString());
   // Record which nodes the artifact cache served, so a later
@@ -446,7 +541,7 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   for (const auto& node : report.nodes) {
     if (node.cache_hit) cached_nodes.push_back(node.name);
   }
-  BAUPLAN_RETURN_NOT_OK(registry_->FinishRun(record.run_id, "succeeded",
+  BAUPLAN_RETURN_NOT_OK(registry_->FinishRun(record, "succeeded",
                                              merged->commit_id,
                                              cached_nodes));
   report.merged = true;

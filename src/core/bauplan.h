@@ -178,19 +178,26 @@ class Bauplan {
   Bauplan(storage::ObjectStore* base_store, Clock* clock,
           BauplanOptions options);
 
-  /// `Check` over a table map the caller already pinned.
+  /// `Check` over a table map the caller already pinned; `metadata` (may
+  /// be null) holds table metadata already loaded for it.
   analysis::AnalysisResult CheckPinned(
       const pipeline::PipelineProject& project,
-      const catalog::PinnedTables& pinned);
+      const catalog::PinnedTables& pinned, const MetadataByKey* metadata);
 
-  /// Publishes a run's artifacts: writes each one as a table snapshot in
-  /// one write wave (concurrent, one forked timeline each), then commits
-  /// them all as one commit whose parent is the pinned head and installs
-  /// it on `branch` (Catalog::CommitOnto). Until installed the commit is
-  /// referenced by nothing. A failed write commits nothing; a run with
-  /// no artifacts commits nothing and returns the branch's head.
+  /// Publishes a run's artifacts in one write wave (concurrent, one
+  /// forked timeline per member), starting from the pinned tables'
+  /// `metadata`. A miss writes its artifact as a table snapshot; a cache
+  /// hit publishes its entry's files by reference (nothing at all when
+  /// the pinned table already holds them). The same wave memoizes what
+  /// the run computed: each fresh artifact as the files it was written
+  /// to, each fresh expectation outcome as itself. The changed tables
+  /// become one commit whose parent is the pinned head, installed on
+  /// `branch` (Catalog::CommitOnto); until installed it is referenced by
+  /// nothing. A failed write commits nothing; when no table changed
+  /// nothing is committed and the branch's head is returned.
   Result<catalog::MergeResult> MaterializeArtifacts(
-      const RunReport& execution, const catalog::PinnedTables& pinned,
+      const RunReport& execution, const CacheLedger& ledger,
+      const catalog::PinnedTables& pinned, const MetadataByKey& metadata,
       const std::string& branch);
 
   /// Records one audit entry; failures are logged, never fatal.

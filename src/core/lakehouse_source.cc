@@ -2,11 +2,32 @@
 
 namespace bauplan::core {
 
+MetadataByKey LoadPinnedMetadata(const table::TableOps& ops,
+                                 const catalog::PinnedTables& pinned,
+                                 const std::set<std::string>& names) {
+  std::vector<std::string> keys;
+  for (const auto& name : names) {
+    auto key = pinned.GetTable(name);
+    if (key.ok()) keys.push_back(std::move(*key));
+  }
+  std::vector<Result<table::TableMetadata>> loaded =
+      ops.LoadMetadataMany(keys);
+  MetadataByKey out;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (loaded[i].ok()) out.emplace(keys[i], std::move(*loaded[i]));
+  }
+  return out;
+}
+
 Result<const table::TableMetadata*> LakehouseSource::Metadata(
     const std::string& table_name) const {
   if (!pinned_.has_value()) pinned_ = catalog_->Pin(ref_);
   BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
                            pinned_->GetTable(table_name));
+  if (preloaded_ != nullptr) {
+    auto hit = preloaded_->find(metadata_key);
+    if (hit != preloaded_->end()) return &hit->second;
+  }
   auto it = metadata_.find(metadata_key);
   if (it == metadata_.end()) {
     BAUPLAN_ASSIGN_OR_RETURN(table::TableMetadata metadata,

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,17 @@
 #include "table/table_ops.h"
 
 namespace bauplan::core {
+
+/// Parsed table metadata by metadata key. Keys are content-addressed, so
+/// an entry never goes stale.
+using MetadataByKey = std::map<std::string, table::TableMetadata>;
+
+/// Loads the metadata of the pinned tables named in `names` (names the
+/// pin lacks are skipped) as one GetMany batch. A failed load is left
+/// out, so a later lookup of that table retries and reports the error.
+MetadataByKey LoadPinnedMetadata(const table::TableOps& ops,
+                                 const catalog::PinnedTables& pinned,
+                                 const std::set<std::string>& names);
 
 /// Bridges the SQL engine to the lakehouse: table names resolve through
 /// the versioned catalog at a pinned ref, and scans run through the
@@ -27,7 +39,9 @@ namespace bauplan::core {
 ///
 /// Each table's metadata is fetched and parsed once per source, then
 /// reused by every schema lookup and scan: metadata keys are
-/// content-addressed, so a key's metadata never changes.
+/// content-addressed, so a key's metadata never changes. A caller that
+/// already loaded some (LoadPinnedMetadata) hands them in and they are
+/// never fetched.
 class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
  public:
   /// Does not own `catalog` or `ops`. `ref` is a branch, tag, or commit.
@@ -36,11 +50,14 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
       : catalog_(catalog), ops_(ops), ref_(std::move(ref)) {}
 
   /// Reads an already-pinned table map and never touches the catalog.
-  LakehouseSource(const table::TableOps* ops, catalog::PinnedTables pinned)
+  /// `preloaded` (may be null) must outlive the source.
+  LakehouseSource(const table::TableOps* ops, catalog::PinnedTables pinned,
+                  const MetadataByKey* preloaded = nullptr)
       : catalog_(nullptr),
         ops_(ops),
         ref_(pinned.ref()),
-        pinned_(std::move(pinned)) {}
+        pinned_(std::move(pinned)),
+        preloaded_(preloaded) {}
 
   /// Registers an in-memory table that shadows catalog contents.
   void AddOverlayTable(const std::string& name, columnar::Table table) {
@@ -71,8 +88,9 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
   const table::TableOps* ops_;
   std::string ref_;
   mutable std::optional<catalog::PinnedTables> pinned_;
-  /// Loaded metadata by metadata key.
-  mutable std::map<std::string, table::TableMetadata> metadata_;
+  const MetadataByKey* preloaded_ = nullptr;
+  /// Metadata this source loaded itself.
+  mutable MetadataByKey metadata_;
   std::map<std::string, columnar::Table> overlay_;
   table::ScanPlan last_plan_;
   int64_t total_files_pruned_ = 0;

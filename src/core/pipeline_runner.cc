@@ -94,16 +94,16 @@ int64_t EstimateCatalogArtifactBytes(const catalog::PinnedTables& tables,
 /// Completes `node` (name and kind already set) from a cache hit: a SQL
 /// node's table joins the run's artifacts, an expectation node replays
 /// its recorded outcome.
-void ApplyCacheHit(cache::CachedArtifact hit, NodeExecution* node,
+void ApplyCacheHit(const cache::CacheHit& hit, NodeExecution* node,
                    RunReport* report) {
   node->cache_hit = true;
-  node->output_rows = hit.output_rows;
+  node->output_rows = hit.artifact.output_rows;
   if (node->kind == NodeKind::kSqlModel) {
-    report->artifacts[node->name] = std::move(hit.table);
+    report->artifacts[node->name] = hit.table;
   } else {
-    node->expectation_passed = hit.expectation_passed;
-    node->details = std::move(hit.details);
-    if (!hit.expectation_passed) report->all_expectations_passed = false;
+    node->expectation_passed = hit.artifact.expectation_passed;
+    node->details = hit.artifact.details;
+    if (!node->expectation_passed) report->all_expectations_passed = false;
   }
 }
 
@@ -142,7 +142,8 @@ runtime::ContainerSpec PipelineRunner::SpecForNode(
 
 Result<RunReport> PipelineRunner::Execute(
     const Dag& dag, const catalog::PinnedTables& tables,
-    const PipelineRunOptions& options) {
+    const PipelineRunOptions& options, const MetadataByKey* metadata,
+    CacheLedger* ledger) {
   for (const auto& name : options.selected) {
     if (!dag.HasNode(name)) {
       return Status::NotFound(StrCat("no pipeline node named '", name,
@@ -150,23 +151,23 @@ Result<RunReport> PipelineRunner::Execute(
     }
   }
   spill_store_->ResetMetrics();
+  const std::vector<std::string> selected =
+      SelectOrAll(dag, options.selected);
 
   // Cache keys are derived once per run, before any dispatch: execution
   // knobs are absent from them by design, so the same map serves every
-  // mode below. A null pointer tells the paths caching is off entirely.
-  // Trimmed runs bypass the cache both ways: a trimmed artifact's bytes
-  // depend on its *downstream* consumers, which an upstream-only Merkle
-  // key cannot capture, so trimmed outputs can neither serve nor be
-  // served by untrimmed ones.
+  // mode below. Trimmed runs bypass the cache both ways: a trimmed
+  // artifact's bytes depend on its *downstream* consumers, which an
+  // upstream-only Merkle key cannot capture, so trimmed outputs can
+  // neither serve nor be served by untrimmed ones.
   const bool cache_on = cache_ != nullptr && cache_->enabled() &&
                         options.use_cache && !options.trim_unused_columns;
   cache::NodeFingerprints keys;
   if (cache_on) {
-    std::vector<std::string> all = SelectOrAll(dag, options.selected);
     keys = cache::ComputeNodeFingerprints(
-        dag, std::set<std::string>(all.begin(), all.end()), tables);
+        dag, std::set<std::string>(selected.begin(), selected.end()),
+        tables);
   }
-  const cache::NodeFingerprints* keys_ptr = cache_on ? &keys : nullptr;
 
   uint64_t run_span = 0;
   if (tracer_ != nullptr) {
@@ -180,20 +181,43 @@ Result<RunReport> PipelineRunner::Execute(
     tracer_->AddAttribute(run_span, "cache",
                           cache_on ? "enabled" : "disabled");
   }
+  const uint64_t start = clock_->NowMicros();
+
+  // One probe for the whole run, before anything is dispatched: a batch
+  // of entry reads, then a batch of the files the hits name.
+  Hits hits;
+  if (cache_on && cache_->entry_count() > 0) {
+    std::vector<std::string> probe_keys;
+    for (const auto& name : selected) probe_keys.push_back(keys.Find(name));
+    std::map<std::string, cache::CacheHit> by_key;
+    {
+      ScopedSpan probe(tracer_, "artifact_cache",
+                       observability::span_kind::kCacheProbe, run_span);
+      by_key = cache_->Probe(probe_keys, *ops_);
+    }
+    for (const auto& name : selected) {
+      auto it = by_key.find(keys.Find(name));
+      if (it != by_key.end()) hits.emplace(name, std::move(it->second));
+    }
+  }
 
   Result<RunReport> result =
       options.fused
-          ? ExecuteFused(dag, tables, SelectOrAll(dag, options.selected),
-                         options.exec, options.trim_unused_columns,
-                         keys_ptr, run_span)
-          : ExecuteNaive(dag, tables, SelectOrAll(dag, options.selected),
-                         options.exec, options.parallelism, keys_ptr,
-                         run_span);
-
-  // Memoize what this run actually computed — post-audit only: a run
-  // with a failing expectation vouches for nothing.
-  if (result.ok() && cache_on && result->all_expectations_passed) {
-    InsertFreshArtifacts(*result, keys);
+          ? ExecuteFused(dag, tables, metadata, selected, options.exec,
+                         options.trim_unused_columns, hits, run_span)
+          : ExecuteNaive(dag, tables, selected, options.exec,
+                         options.parallelism, hits, run_span);
+  if (result.ok()) {
+    result->total_micros = clock_->NowMicros() - start;
+    if (ledger != nullptr) {
+      ledger->keys = std::move(keys);
+      for (const NodeExecution& node : result->nodes) {
+        auto it = hits.find(node.name);
+        if (node.cache_hit && it != hits.end()) {
+          ledger->hits.emplace(node.name, std::move(it->second.artifact));
+        }
+      }
+    }
   }
 
   if (tracer_ != nullptr) {
@@ -210,11 +234,28 @@ Result<RunReport> PipelineRunner::Execute(
 
 Result<RunReport> PipelineRunner::ExecuteFused(
     const Dag& dag, const catalog::PinnedTables& tables,
-    const std::vector<std::string>& selected,
-    const sql::ExecOptions& exec, bool trim_unused_columns,
-    const cache::NodeFingerprints* keys, uint64_t run_span) {
+    const MetadataByKey* metadata, const std::vector<std::string>& selected,
+    const sql::ExecOptions& exec, bool trim_unused_columns, const Hits& hits,
+    uint64_t run_span) {
   RunReport report;
-  uint64_t start = clock_->NowMicros();
+  std::set<std::string> selected_set(selected.begin(), selected.end());
+
+  // Every selected node was served: there is nothing left to run, so no
+  // function is invoked at all.
+  if (std::all_of(selected.begin(), selected.end(),
+                  [&](const std::string& n) { return hits.count(n) > 0; })) {
+    for (const auto& name : dag.execution_order()) {
+      if (selected_set.count(name) == 0) continue;
+      NodeExecution node_report;
+      node_report.name = name;
+      node_report.kind = dag.GetNode(name).node->kind;
+      ApplyCacheHit(hits.at(name), &node_report, &report);
+      report.nodes.push_back(std::move(node_report));
+    }
+    if (skipped_invocations_ != nullptr) skipped_invocations_->Increment();
+    report.spill_metrics = spill_store_->metrics();
+    return report;
+  }
 
   // Cross-node projection trimming (run --trim): fold the whole DAG's
   // lineage once, then hand each node the set of output columns some
@@ -233,7 +274,7 @@ Result<RunReport> PipelineRunner::ExecuteFused(
                             node.name, node.code, node.requirements);
       if (!st.ok()) return st;
     }
-    LakehouseSource schemas(ops_, tables);
+    LakehouseSource schemas(ops_, tables, metadata);
     required_columns =
         analysis::BuildLineage(lineage_project, schemas)
             .RequiredOutputColumns();
@@ -260,7 +301,6 @@ Result<RunReport> PipelineRunner::ExecuteFused(
   // Keep the DAG's container warm between iterations: repeated `bauplan
   // run` invocations in a dev loop pay only the warm dispatch.
   request.keep_warm = true;
-  std::set<std::string> selected_set(selected.begin(), selected.end());
 
   uint64_t fused_span = 0;
   if (tracer_ != nullptr) {
@@ -271,35 +311,21 @@ Result<RunReport> PipelineRunner::ExecuteFused(
   request.body = [&]() -> Status {
     // All intermediates live in the source overlay; the engine pushes
     // WHERE filters and projections into the lakehouse scans.
-    LakehouseSource source(ops_, tables);
+    LakehouseSource source(ops_, tables, metadata);
     for (const auto& name : dag.execution_order()) {
       if (selected_set.count(name) == 0) continue;
       const PipelineNode& node = *dag.GetNode(name).node;
       NodeExecution node_report;
       node_report.name = name;
       node_report.kind = node.kind;
-      // Fused hits skip the node's work inside the shared function (the
-      // single invocation itself still runs — nothing is dispatched per
-      // node in this mode, so skipped_invocations stays untouched).
-      if (keys != nullptr && !keys->Find(name).empty()) {
-        std::optional<cache::CachedArtifact> hit;
-        {
-          ScopedSpan probe(tracer_, name,
-                           observability::span_kind::kCacheProbe,
-                           fused_span);
-          hit = cache_->Lookup(keys->Find(name));
+      // A served node's output joins the overlay its consumers read.
+      if (auto hit = hits.find(name); hit != hits.end()) {
+        if (node.kind == NodeKind::kSqlModel) {
+          source.AddOverlayTable(name, hit->second.table);
         }
-        if (hit.has_value()) {
-          if (node.kind == NodeKind::kSqlModel) {
-            ScopedSpan mat(tracer_, name,
-                           observability::span_kind::kCacheMaterialize,
-                           fused_span);
-            source.AddOverlayTable(name, hit->table);
-          }
-          ApplyCacheHit(std::move(*hit), &node_report, &report);
-          report.nodes.push_back(std::move(node_report));
-          continue;
-        }
+        ApplyCacheHit(hit->second, &node_report, &report);
+        report.nodes.push_back(std::move(node_report));
+        continue;
       }
       if (node.kind == NodeKind::kSqlModel) {
         ScopedSpan sql_span(tracer_, name,
@@ -344,7 +370,6 @@ Result<RunReport> PipelineRunner::ExecuteFused(
                           StrCat(invocation->worker));
   }
   report.fused = std::move(fused);
-  report.total_micros = clock_->NowMicros() - start;
   report.spill_metrics = spill_store_->metrics();
   return report;
 }
@@ -469,30 +494,20 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
   return request;
 }
 
-bool PipelineRunner::TryServeFromCache(
-    internal::NaiveRunContext& ctx, const cache::NodeFingerprints* keys,
-    const std::string& name, bool has_selected_consumer,
-    NodeExecution* node_report, uint64_t node_span) {
-  if (keys == nullptr) return false;
-  const std::string& key = keys->Find(name);
-  if (key.empty()) return false;
-
+bool PipelineRunner::ServeFromCache(internal::NaiveRunContext& ctx,
+                                    const std::string& name,
+                                    const cache::CacheHit& hit,
+                                    bool has_selected_consumer,
+                                    NodeExecution* node_report,
+                                    uint64_t node_span) {
   const PipelineNode& node = *ctx.dag->GetNode(name).node;
-  std::optional<cache::CachedArtifact> hit;
-  {
-    ScopedSpan probe(tracer_, name,
-                     observability::span_kind::kCacheProbe, node_span);
-    hit = cache_->Lookup(key);
-  }
-  if (!hit.has_value()) return false;
-
   if (node.kind == NodeKind::kSqlModel && has_selected_consumer) {
     // Downstream functions fetch their inputs from the spill store;
     // re-materialize the cached table under the node's spill key so
     // their bodies stay oblivious to where it came from. If the put
     // fails, fall back to executing the node — cache trouble never
     // fails a run.
-    Bytes payload = columnar::SerializeTable(hit->table);
+    Bytes payload = columnar::SerializeTable(hit.table);
     int64_t payload_bytes = static_cast<int64_t>(payload.size());
     Status put_status = [&] {
       ScopedSpan mat(tracer_, StrCat("put ", SpillKey(name)),
@@ -509,40 +524,17 @@ bool PipelineRunner::TryServeFromCache(
   node_report->kind = node.kind;
   {
     std::lock_guard<std::mutex> lock(ctx.mu);
-    ApplyCacheHit(std::move(*hit), node_report, ctx.report);
+    ApplyCacheHit(hit, node_report, ctx.report);
   }
   if (skipped_invocations_ != nullptr) skipped_invocations_->Increment();
   return true;
 }
 
-void PipelineRunner::InsertFreshArtifacts(
-    const RunReport& report, const cache::NodeFingerprints& keys) {
-  for (const NodeExecution& node : report.nodes) {
-    if (node.cache_hit) continue;
-    const std::string& key = keys.Find(node.name);
-    if (key.empty()) continue;
-    cache::CachedArtifact artifact;
-    artifact.kind = node.kind;
-    artifact.output_rows = node.output_rows;
-    if (node.kind == NodeKind::kSqlModel) {
-      auto it = report.artifacts.find(node.name);
-      if (it == report.artifacts.end()) continue;
-      artifact.table = it->second;
-    } else {
-      artifact.expectation_passed = node.expectation_passed;
-      artifact.details = node.details;
-    }
-    cache_->Insert(key, artifact);
-  }
-}
-
 Result<RunReport> PipelineRunner::ExecuteNaive(
     const Dag& dag, const catalog::PinnedTables& tables,
-    const std::vector<std::string>& selected,
-    const sql::ExecOptions& exec, int parallelism,
-    const cache::NodeFingerprints* keys, uint64_t run_span) {
+    const std::vector<std::string>& selected, const sql::ExecOptions& exec,
+    int parallelism, const Hits& hits, uint64_t run_span) {
   RunReport report;
-  uint64_t start = clock_->NowMicros();
 
   internal::NaiveRunContext ctx;
   ctx.dag = &dag;
@@ -573,7 +565,7 @@ Result<RunReport> PipelineRunner::ExecuteNaive(
   std::map<std::string, NodeExecution*> slot_of;
   std::map<std::string, uint64_t> span_of;
   std::set<std::string> dispatched;
-  std::set<std::string> probed;  // each node probes the cache only once
+  std::set<std::string> tried;  // each hit is served at most once
   size_t completed = 0;
   int wave_index = 0;
 
@@ -591,11 +583,12 @@ Result<RunReport> PipelineRunner::ExecuteNaive(
       for (const auto& name : dag.execution_order()) {
         auto it = indegree.find(name);
         if (it == indegree.end() || it->second > 0) continue;
-        if (dispatched.count(name) > 0 || probed.count(name) > 0) {
+        if (dispatched.count(name) > 0 || tried.count(name) > 0) {
           continue;
         }
-        if (keys == nullptr || keys->Find(name).empty()) continue;
-        probed.insert(name);
+        auto hit = hits.find(name);
+        if (hit == hits.end()) continue;
+        tried.insert(name);
         NodeExecution*& slot = slot_of[name];
         if (slot == nullptr) {
           slots.emplace_back();
@@ -610,10 +603,9 @@ Result<RunReport> PipelineRunner::ExecuteNaive(
           }
           node_span = span;
         }
-        if (!TryServeFromCache(ctx, keys, name,
-                               HasSelectedConsumer(dag, ctx.selected_set,
-                                                   name),
-                               slot, node_span)) {
+        if (!ServeFromCache(ctx, name, hit->second,
+                            HasSelectedConsumer(dag, ctx.selected_set, name),
+                            slot, node_span)) {
           continue;  // dispatches in a wave; span interval set there
         }
         if (tracer_ != nullptr) {
@@ -711,7 +703,6 @@ Result<RunReport> PipelineRunner::ExecuteNaive(
     report.nodes.push_back(std::move(*it->second));
   }
 
-  report.total_micros = clock_->NowMicros() - start;
   report.spill_metrics = spill_store_->metrics();
   return report;
 }

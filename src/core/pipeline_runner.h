@@ -8,6 +8,7 @@
 #include "cache/fingerprint.h"
 #include "catalog/catalog.h"
 #include "common/clock.h"
+#include "core/lakehouse_source.h"
 #include "core/run_report.h"
 #include "observability/metrics.h"
 #include "observability/trace.h"
@@ -58,28 +59,40 @@ struct PipelineRunOptions {
   /// sql::ExecOptions::FromEnv() at the CLI layer; tracer/metrics/spill
   /// wiring inside is overridden per node by the runner.
   sql::ExecOptions exec;
-  /// Probe the differential artifact cache before dispatching each node
-  /// and memoize fresh post-audit outputs after the run (`bauplan run
-  /// --no-cache` turns this off). No effect when the runner has no cache
-  /// or the cache's budget is 0.
+  /// Probe the differential artifact cache before dispatch, and report
+  /// what the publish should memoize (`bauplan run --no-cache` turns
+  /// this off). No effect when the runner has no cache or the cache's
+  /// budget is 0.
   bool use_cache = true;
+};
+
+/// The artifact-cache side of one execution, for the publish after it:
+/// which key each node's output would be memoized under, and which
+/// entries served nodes (a served SQL model publishes its entry's files
+/// by reference instead of writing data).
+struct CacheLedger {
+  /// Node -> cache key ("" = uncacheable this run); empty when the run
+  /// did not use the cache.
+  cache::NodeFingerprints keys;
+  /// Node -> the entry that served it.
+  std::map<std::string, cache::CachedArtifact> hits;
 };
 
 /// Executes an extracted DAG on the serverless substrate in fused or
 /// naive mode, producing the execution half of a RunReport (run_id and
-/// merge outcome stay defaulted — materialization back to the catalog is
-/// the caller's job; the Bauplan facade wraps this in
-/// transform-audit-write).
+/// merge outcome stay defaulted — materialization back to the catalog,
+/// and memoizing what it publishes, are the caller's job; the Bauplan
+/// facade wraps this in transform-audit-write).
 class PipelineRunner {
  public:
   /// Does not own its collaborators. `spill_store` is the metered store
   /// naive mode spills intermediates through. With a non-null `tracer`
   /// every run produces a span tree (run -> wave -> node -> {scan, sql,
   /// expectation, spill}) extracted into RunReport::trace. With a
-  /// non-null `cache` every run probes it per node (hits skip memory
-  /// reservation and container acquisition entirely) and memoizes fresh
-  /// post-audit artifacts; `metrics` hosts the runner's own
-  /// cache.skipped_invocations counter.
+  /// non-null `cache` every run probes it for all its nodes before any
+  /// dispatch (hits skip memory reservation and container acquisition
+  /// entirely; a fused run whose nodes all hit invokes no function);
+  /// `metrics` hosts the runner's own cache.skipped_invocations counter.
   PipelineRunner(ForkableClock* clock, const table::TableOps* ops,
                  runtime::ServerlessExecutor* executor,
                  storage::MeteredObjectStore* spill_store,
@@ -101,18 +114,24 @@ class PipelineRunner {
   /// caller pinned. Expectation failures are reported in the result (not
   /// as an error Status); infrastructure failures are errors. Cache keys,
   /// function sizing and node bodies all read that one map, so the
-  /// runner never touches the catalog.
+  /// runner never touches the catalog. `metadata` (may be null) holds
+  /// table metadata the caller already loaded for that map; `ledger`
+  /// (may be null) receives the run's cache keys and hits.
   Result<RunReport> Execute(const pipeline::Dag& dag,
                             const catalog::PinnedTables& tables,
-                            const PipelineRunOptions& options);
+                            const PipelineRunOptions& options,
+                            const MetadataByKey* metadata = nullptr,
+                            CacheLedger* ledger = nullptr);
 
  private:
+  using Hits = std::map<std::string, cache::CacheHit>;
+
   Result<RunReport> ExecuteFused(const pipeline::Dag& dag,
                                  const catalog::PinnedTables& tables,
+                                 const MetadataByKey* metadata,
                                  const std::vector<std::string>& selected,
                                  const sql::ExecOptions& exec,
-                                 bool trim_unused_columns,
-                                 const cache::NodeFingerprints* keys,
+                                 bool trim_unused_columns, const Hits& hits,
                                  uint64_t run_span);
   /// One function per node, dispatched as wavefronts: every selected
   /// node whose selected upstreams finished goes out together through
@@ -123,31 +142,20 @@ class PipelineRunner {
                                  const catalog::PinnedTables& tables,
                                  const std::vector<std::string>& selected,
                                  const sql::ExecOptions& exec,
-                                 int parallelism,
-                                 const cache::NodeFingerprints* keys,
+                                 int parallelism, const Hits& hits,
                                  uint64_t run_span);
 
-  /// Probes the cache for `name` (`keys` may be null = caching off) and,
-  /// on a hit, completes the node without dispatching a function: fills
-  /// `node_report` (cache_hit, rows, audit outcome), feeds the run's
-  /// artifact map, and — when a selected downstream consumer will read
-  /// the output through the spill store — re-materializes the cached
+  /// Completes `name` from its probed hit without dispatching a function:
+  /// fills `node_report` (cache_hit, rows, audit outcome), feeds the
+  /// run's artifact map, and — when a selected downstream consumer will
+  /// read the output through the spill store — re-materializes the
   /// table under the node's spill key so downstream bodies are untouched.
-  /// Returns false on a miss, an empty key, or a failed materialize (the
-  /// caller then executes the node normally; cache trouble never fails a
-  /// run). `node_span` parents the cache.probe / cache.materialize spans.
-  bool TryServeFromCache(internal::NaiveRunContext& ctx,
-                         const cache::NodeFingerprints* keys,
-                         const std::string& name,
-                         bool has_selected_consumer,
-                         NodeExecution* node_report, uint64_t node_span);
-
-  /// Memoizes every freshly-executed node of a finished run whose
-  /// expectations all passed (cached artifacts are post-audit by
-  /// contract). Hits are skipped (already cached), as are nodes with
-  /// empty keys.
-  void InsertFreshArtifacts(const RunReport& report,
-                            const cache::NodeFingerprints& keys);
+  /// Returns false when a failed materialize leaves the node to execute
+  /// normally (cache trouble never fails a run). `node_span` parents the
+  /// cache.materialize span.
+  bool ServeFromCache(internal::NaiveRunContext& ctx, const std::string& name,
+                      const cache::CacheHit& hit, bool has_selected_consumer,
+                      NodeExecution* node_report, uint64_t node_span);
 
   /// The per-node FunctionRequest a naive run dispatches: inputs list
   /// every upstream artifact, memory is sized from their bytes, and the

@@ -39,9 +39,9 @@ inline constexpr const char* kPipeline = "pipeline";
 /// span per analyzer pass (structural, schema, expectation).
 inline constexpr const char* kAnalysis = "analysis";
 inline constexpr const char* kPass = "pass";
-/// Differential artifact cache, children of node (or fused sql) spans:
-/// probe = key lookup + fetch, materialize = handing the cached artifact
-/// to downstream consumers (overlay add, or spill-store put).
+/// Differential artifact cache: probe = the run's one batched entry and
+/// file fetch (a child of the run span), materialize = a naive node's
+/// spill-store put of a hit for its downstream consumers.
 inline constexpr const char* kCacheProbe = "cache.probe";
 inline constexpr const char* kCacheMaterialize = "cache.materialize";
 }  // namespace span_kind

@@ -57,9 +57,11 @@ class RunRegistry {
                                 const std::string& branch,
                                 const std::string& data_commit_id);
 
-  /// Updates the stored record's status (and, for successful runs, the
-  /// commit the merge produced and the nodes the artifact cache served).
-  Status FinishRun(int64_t run_id, const std::string& status,
+  /// Stores `record` (as RegisterRun returned it) finished: with
+  /// `status` and, for successful runs, the commit the merge produced
+  /// and the nodes the artifact cache served. The caller holds the
+  /// record, so this is one PUT and no read.
+  Status FinishRun(RunRecord record, const std::string& status,
                    const std::string& result_commit_id = "",
                    const std::vector<std::string>& cached_nodes = {});
 

@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "columnar/datetime.h"
 #include "common/strings.h"
 #include "sql/lexer.h"
@@ -29,6 +32,8 @@ class Parser {
   /// Parses SELECT ... [LIMIT n] without consuming statement terminators
   /// (also used for derived tables, which stop at the closing paren).
   Result<SelectStatement> ParseSelectBody() {
+    Nested nested(this);
+    BAUPLAN_RETURN_NOT_OK(nested.status());
     BAUPLAN_RETURN_NOT_OK(ExpectKeyword("SELECT"));
     SelectStatement stmt;
     stmt.distinct = AcceptKeyword("DISTINCT");
@@ -229,14 +234,68 @@ class Parser {
     return join;
   }
 
-  // Expression grammar, lowest precedence first.
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  // -- depth limit -----------------------------------------------------
+
+  /// Counts one level of parser recursion (a parenthesized or nested
+  /// expression, a subquery, a UNION arm) for its lifetime.
+  class Nested {
+   public:
+    explicit Nested(Parser* parser) : parser_(parser) {
+      if (++parser_->nesting_ > kMaxExpressionNesting) {
+        status_ = parser_->SyntaxError(
+            StrCat("expression nested deeper than ", kMaxExpressionNesting,
+                   " levels"));
+      }
+    }
+    ~Nested() { --parser_->nesting_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+    const Status& status() const { return status_; }
+
+   private:
+    Parser* parser_;
+    Status status_;
+  };
+
+  int DepthOf(const ExprPtr& e) const {
+    if (e == nullptr) return 0;
+    auto it = depth_of_.find(e.get());
+    return it == depth_of_.end() ? 1 : it->second;
+  }
+
+  /// Records the tree depth of `e` (one more than its deepest child; the
+  /// children were all tracked when they were built) and rejects a tree
+  /// deeper than the limit, however flat the text that built it: a
+  /// 50,000-term sum is one loop here but a 50,000-deep left spine for
+  /// every later recursive walk.
+  Result<ExprPtr> Track(ExprPtr e) {
+    int child = std::max({DepthOf(e->left), DepthOf(e->right),
+                          DepthOf(e->between_low), DepthOf(e->between_high)});
+    for (const auto& arg : e->args) child = std::max(child, DepthOf(arg));
+    for (const auto& item : e->list) child = std::max(child, DepthOf(item));
+    if (child + 1 > kMaxExpressionDepth) {
+      return SyntaxError(StrCat("expression tree deeper than ",
+                                kMaxExpressionDepth, " levels"));
+    }
+    depth_of_[e.get()] = child + 1;
+    return e;
+  }
+
+  // Expression grammar, lowest precedence first. Every node a rule
+  // returns goes through Track.
+  Result<ExprPtr> ParseExpr() {
+    Nested nested(this);
+    BAUPLAN_RETURN_NOT_OK(nested.status());
+    return ParseOr();
+  }
 
   Result<ExprPtr> ParseOr() {
     BAUPLAN_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
     while (AcceptKeyword("OR")) {
       BAUPLAN_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-      left = MakeBinary(BinaryOp::kOr, std::move(left), std::move(right));
+      BAUPLAN_ASSIGN_OR_RETURN(
+          left, Track(MakeBinary(BinaryOp::kOr, std::move(left),
+                                 std::move(right))));
     }
     return left;
   }
@@ -246,20 +305,29 @@ class Parser {
     while (Peek().IsKeyword("AND")) {
       Advance();
       BAUPLAN_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-      left = MakeBinary(BinaryOp::kAnd, std::move(left), std::move(right));
+      BAUPLAN_ASSIGN_OR_RETURN(
+          left, Track(MakeBinary(BinaryOp::kAnd, std::move(left),
+                                 std::move(right))));
     }
     return left;
   }
 
   Result<ExprPtr> ParseNot() {
     if (AcceptKeyword("NOT")) {
+      Nested nested(this);
+      BAUPLAN_RETURN_NOT_OK(nested.status());
       BAUPLAN_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
-      return MakeUnary(UnaryOp::kNot, std::move(operand));
+      return Track(MakeUnary(UnaryOp::kNot, std::move(operand)));
     }
     return ParseComparison();
   }
 
   Result<ExprPtr> ParseComparison() {
+    BAUPLAN_ASSIGN_OR_RETURN(ExprPtr e, ParseComparisonNode());
+    return Track(std::move(e));
+  }
+
+  Result<ExprPtr> ParseComparisonNode() {
     BAUPLAN_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
     // IS [NOT] NULL
     if (AcceptKeyword("IS")) {
@@ -354,7 +422,8 @@ class Parser {
       }
       Advance();
       BAUPLAN_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-      left = MakeBinary(op, std::move(left), std::move(right));
+      BAUPLAN_ASSIGN_OR_RETURN(
+          left, Track(MakeBinary(op, std::move(left), std::move(right))));
     }
   }
 
@@ -373,12 +442,20 @@ class Parser {
       }
       Advance();
       BAUPLAN_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
-      left = MakeBinary(op, std::move(left), std::move(right));
+      BAUPLAN_ASSIGN_OR_RETURN(
+          left, Track(MakeBinary(op, std::move(left), std::move(right))));
     }
   }
 
   Result<ExprPtr> ParseUnary() {
+    BAUPLAN_ASSIGN_OR_RETURN(ExprPtr e, ParseUnaryNode());
+    return Track(std::move(e));
+  }
+
+  Result<ExprPtr> ParseUnaryNode() {
     if (Accept(TokenType::kMinus)) {
+      Nested nested(this);
+      BAUPLAN_RETURN_NOT_OK(nested.status());
       BAUPLAN_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       // Fold negation of numeric literals.
       if (operand->kind == ExprKind::kLiteral && !operand->literal.is_null()) {
@@ -525,6 +602,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int nesting_ = 0;
+  std::unordered_map<const Expr*, int> depth_of_;
 };
 
 }  // namespace

@@ -9,8 +9,21 @@
 
 namespace bauplan::sql {
 
+/// The parser's depth limit, checked as it builds each expression: the
+/// tree it returns is at most kMaxExpressionDepth deep (a flat
+/// `1+1+...+1` is a left-deep spine, so this counts tree depth, not
+/// recursion), and the text nests at most kMaxExpressionNesting levels
+/// of parentheses, NOT/unary-minus chains, subqueries and UNION arms.
+/// Each nesting level costs the parser about ten stack frames (~18 KB
+/// under AddressSanitizer), hence the lower bound there. Deeper input is
+/// an InvalidArgument with a position, never a stack overflow in the
+/// parser or in any later walk of the tree.
+inline constexpr int kMaxExpressionDepth = 2048;
+inline constexpr int kMaxExpressionNesting = 256;
+
 /// Parses one SELECT statement (optionally ;-terminated).
-/// InvalidArgument with position info on syntax errors.
+/// InvalidArgument with position info on syntax errors, including input
+/// deeper than the depth limit above.
 ///
 /// Grammar (informal):
 ///   SELECT item (, item)*

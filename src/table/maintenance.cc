@@ -75,9 +75,10 @@ Result<CompactionResult> TableMaintenance::CompactFiles(
   if (!result.compacted) return result;  // nothing fragmented
 
   BAUPLAN_ASSIGN_OR_RETURN(
-      result.metadata_key,
+      WrittenSnapshot written,
       ops_->CommitFileSet(std::move(metadata), std::move(new_files),
                           "replace"));
+  result.metadata_key = std::move(written.metadata_key);
   return result;
 }
 

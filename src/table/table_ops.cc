@@ -69,6 +69,18 @@ Result<TableMetadata> TableOps::LoadMetadata(
   return TableMetadata::Deserialize(image);
 }
 
+std::vector<Result<TableMetadata>> TableOps::LoadMetadataMany(
+    const std::vector<std::string>& metadata_keys) const {
+  std::vector<Result<Bytes>> images = store_->GetMany(metadata_keys);
+  std::vector<Result<TableMetadata>> out;
+  out.reserve(images.size());
+  for (auto& image : images) {
+    out.push_back(image.ok() ? TableMetadata::Deserialize(*image)
+                             : Result<TableMetadata>(image.status()));
+  }
+  return out;
+}
+
 namespace {
 
 /// Groups row indices by partition tuple; tuple order is the map key's
@@ -86,9 +98,9 @@ struct TupleLess {
 
 }  // namespace
 
-Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
-                                            const columnar::Table& data,
-                                            const std::string& operation) {
+Result<WrittenSnapshot> TableOps::WriteSnapshot(
+    TableMetadata metadata, const columnar::Table& data,
+    const std::string& operation) {
   if (!(data.schema() == metadata.schema)) {
     return Status::InvalidArgument(
         StrCat("data schema ", data.schema().ToString(),
@@ -112,30 +124,37 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
     }
   }
 
-  int64_t next_snapshot_id =
-      metadata.snapshots.empty()
-          ? 1
-          : metadata.snapshots.back().snapshot_id + 1;
-
   // Write one BPF file per non-empty partition.
-  Manifest manifest;
+  std::vector<DataFile> files;
   for (const auto& [tuple, indices] : groups) {
     if (indices.empty()) continue;
     BAUPLAN_ASSIGN_OR_RETURN(columnar::Table part,
                              columnar::TakeTable(data, indices));
     BAUPLAN_ASSIGN_OR_RETURN(DataFile file,
                              WriteDataFile(metadata, part, tuple));
-    manifest.files.push_back(std::move(file));
+    files.push_back(std::move(file));
   }
+  return CommitFileSet(std::move(metadata), std::move(files), operation);
+}
+
+Result<WrittenSnapshot> TableOps::CommitFileSet(
+    TableMetadata metadata, std::vector<DataFile> files,
+    const std::string& operation) {
+  Manifest manifest;
+  manifest.files = files;
   BAUPLAN_ASSIGN_OR_RETURN(std::string manifest_key,
                            WriteManifest(metadata.table_name, manifest));
 
   Snapshot snapshot;
-  snapshot.snapshot_id = next_snapshot_id;
+  snapshot.snapshot_id = metadata.snapshots.empty()
+                             ? 1
+                             : metadata.snapshots.back().snapshot_id + 1;
   snapshot.parent_snapshot_id = metadata.current_snapshot_id;
   snapshot.timestamp_micros = clock_->NowMicros();
   snapshot.operation = operation;
-  snapshot.total_records = data.num_rows();
+  for (const auto& file : files) snapshot.total_records += file.record_count;
+  // An append extends its parent's manifest list; anything else replaces
+  // the table's contents with exactly `files`.
   if (operation == "append" && metadata.current_snapshot_id >= 0) {
     BAUPLAN_ASSIGN_OR_RETURN(Snapshot parent, metadata.CurrentSnapshot());
     snapshot.manifest_keys = parent.manifest_keys;
@@ -146,7 +165,11 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
   metadata.snapshots.push_back(snapshot);
   metadata.current_snapshot_id = snapshot.snapshot_id;
   metadata.last_updated_micros = snapshot.timestamp_micros;
-  return WriteMetadata(metadata);
+  WrittenSnapshot written;
+  BAUPLAN_ASSIGN_OR_RETURN(written.metadata_key, WriteMetadata(metadata));
+  written.manifest_key = std::move(manifest_key);
+  written.files = std::move(files);
+  return written;
 }
 
 Result<DataFile> TableOps::WriteDataFile(const TableMetadata& metadata,
@@ -170,35 +193,6 @@ Result<DataFile> TableOps::WriteDataFile(const TableMetadata& metadata,
   return file;
 }
 
-Result<std::string> TableOps::CommitFileSet(TableMetadata metadata,
-                                            std::vector<DataFile> files,
-                                            const std::string& operation) {
-  int64_t next_snapshot_id =
-      metadata.snapshots.empty()
-          ? 1
-          : metadata.snapshots.back().snapshot_id + 1;
-  Manifest manifest;
-  int64_t total_records = 0;
-  for (auto& file : files) {
-    total_records += file.record_count;
-    manifest.files.push_back(std::move(file));
-  }
-  BAUPLAN_ASSIGN_OR_RETURN(std::string manifest_key,
-                           WriteManifest(metadata.table_name, manifest));
-
-  Snapshot snapshot;
-  snapshot.snapshot_id = next_snapshot_id;
-  snapshot.parent_snapshot_id = metadata.current_snapshot_id;
-  snapshot.timestamp_micros = clock_->NowMicros();
-  snapshot.operation = operation;
-  snapshot.total_records = total_records;
-  snapshot.manifest_keys = {manifest_key};
-  metadata.snapshots.push_back(snapshot);
-  metadata.current_snapshot_id = snapshot.snapshot_id;
-  metadata.last_updated_micros = snapshot.timestamp_micros;
-  return WriteMetadata(metadata);
-}
-
 Result<std::string> TableOps::RewriteMetadata(TableMetadata metadata) {
   metadata.last_updated_micros = clock_->NowMicros();
   return WriteMetadata(metadata);
@@ -208,13 +202,22 @@ Result<std::string> TableOps::Append(const std::string& metadata_key,
                                      const columnar::Table& data) {
   BAUPLAN_ASSIGN_OR_RETURN(TableMetadata metadata,
                            LoadMetadata(metadata_key));
-  return WriteSnapshot(std::move(metadata), data, "append");
+  BAUPLAN_ASSIGN_OR_RETURN(WrittenSnapshot written,
+                           WriteSnapshot(std::move(metadata), data, "append"));
+  return std::move(written.metadata_key);
 }
 
 Result<std::string> TableOps::Overwrite(const std::string& metadata_key,
                                         const columnar::Table& data) {
   BAUPLAN_ASSIGN_OR_RETURN(TableMetadata metadata,
                            LoadMetadata(metadata_key));
+  BAUPLAN_ASSIGN_OR_RETURN(WrittenSnapshot written,
+                           Overwrite(std::move(metadata), data));
+  return std::move(written.metadata_key);
+}
+
+Result<WrittenSnapshot> TableOps::Overwrite(TableMetadata metadata,
+                                            const columnar::Table& data) {
   return WriteSnapshot(std::move(metadata), data, "overwrite");
 }
 
@@ -471,6 +474,49 @@ Result<columnar::Table> TableOps::ReadScan(const TableMetadata& metadata,
   }
   if (pieces.size() == 1) return pieces[0];
   return columnar::ConcatTables(pieces);
+}
+
+std::vector<Result<columnar::Table>> TableOps::ReadFileSets(
+    const std::vector<FileSet>& sets) const {
+  std::vector<std::string> paths;
+  for (const auto& set : sets) {
+    for (const auto& file : set.files) paths.push_back(file.path);
+  }
+  std::vector<Result<Bytes>> payloads = store_->GetMany(paths);
+
+  std::vector<Result<columnar::Table>> out;
+  out.reserve(sets.size());
+  size_t next = 0;
+  for (const auto& set : sets) {
+    auto decode = [&]() -> Result<columnar::Table> {
+      std::vector<columnar::Table> pieces;
+      for (size_t f = 0; f < set.files.size(); ++f) {
+        BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, std::move(payloads[next + f]));
+        BAUPLAN_ASSIGN_OR_RETURN(format::BpfReader reader,
+                                 format::BpfReader::Open(std::move(bytes)));
+        BAUPLAN_ASSIGN_OR_RETURN(columnar::Table piece, reader.ReadTable());
+        if (!(piece.schema() == set.schema) ||
+            piece.num_rows() != set.files[f].record_count) {
+          return Status::IOError(
+              StrCat("data file '", set.files[f].path,
+                     "' does not hold what its manifest entry says"));
+        }
+        pieces.push_back(std::move(piece));
+      }
+      if (pieces.empty()) {
+        std::vector<columnar::ArrayPtr> empties;
+        for (const auto& f : set.schema.fields()) {
+          empties.push_back(columnar::MakeBuilder(f.type)->Finish());
+        }
+        return columnar::Table::Make(set.schema, std::move(empties));
+      }
+      if (pieces.size() == 1) return std::move(pieces[0]);
+      return columnar::ConcatTables(pieces);
+    };
+    out.push_back(decode());
+    next += set.files.size();
+  }
+  return out;
 }
 
 Result<columnar::Table> TableOps::ScanTable(const std::string& metadata_key,

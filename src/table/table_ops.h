@@ -44,6 +44,21 @@ struct ScanPlan {
   int64_t bytes_pruned = 0;
 };
 
+/// What one snapshot write published: the new metadata key, and the
+/// manifest and data files the write added.
+struct WrittenSnapshot {
+  std::string metadata_key;
+  std::string manifest_key;
+  std::vector<DataFile> files;
+};
+
+/// Whole data files that decode to one table: their rows concatenated in
+/// file order, or an empty table of `schema` when there are none.
+struct FileSet {
+  columnar::Schema schema;
+  std::vector<DataFile> files;
+};
+
 /// All table-level operations of the Iceberg stand-in. Metadata objects are
 /// immutable: every write produces a new metadata key, which the caller
 /// commits to the catalog (giving snapshot isolation for free).
@@ -63,6 +78,11 @@ class TableOps {
 
   Result<TableMetadata> LoadMetadata(const std::string& metadata_key) const;
 
+  /// Loads many metadata objects as one GetMany batch; results keep the
+  /// order of `metadata_keys`.
+  std::vector<Result<TableMetadata>> LoadMetadataMany(
+      const std::vector<std::string>& metadata_keys) const;
+
   // -- writes ---------------------------------------------------------
 
   /// Appends `data` (whose schema must match the table schema) as new
@@ -73,6 +93,11 @@ class TableOps {
   /// Replaces the table's contents with `data`.
   Result<std::string> Overwrite(const std::string& metadata_key,
                                 const columnar::Table& data);
+
+  /// Overwrite over metadata the caller already loaded; also reports the
+  /// manifest and files the new snapshot holds.
+  Result<WrittenSnapshot> Overwrite(TableMetadata metadata,
+                                    const columnar::Table& data);
 
   /// Schema evolution: appends a nullable column. Existing files stay
   /// untouched; scans fill the column with nulls for old files.
@@ -107,12 +132,15 @@ class TableOps {
                                  const columnar::Table& data,
                                  std::vector<columnar::Value> partition);
 
-  /// Creates a new snapshot whose live contents are exactly `files`
-  /// (all already in storage), with the given operation tag, and writes
-  /// new metadata. Used by compaction ("replace" snapshots).
-  Result<std::string> CommitFileSet(TableMetadata metadata,
-                                    std::vector<DataFile> files,
-                                    const std::string& operation);
+  /// Creates a new snapshot adding `files` (all already in storage) with
+  /// the given operation tag: writes one manifest and new metadata, and
+  /// no data byte. An "append" keeps the parent's manifests; any other
+  /// operation makes `files` the table's whole contents. Every write
+  /// ends here; compaction ("replace") and a run publishing a cached
+  /// artifact's files ("overwrite") call it directly.
+  Result<WrittenSnapshot> CommitFileSet(TableMetadata metadata,
+                                        std::vector<DataFile> files,
+                                        const std::string& operation);
 
   /// Rewrites the metadata object with `metadata` as-is (snapshot-expiry
   /// uses this after trimming the snapshot list).
@@ -134,6 +162,12 @@ class TableOps {
                                    const ScanPlan& plan,
                                    const ScanOptions& options) const;
 
+  /// Reads whole file sets: every file of every set is fetched in one
+  /// GetMany batch and decoded by the BPF reader. Results keep the order
+  /// of `sets`; a set fails on its first missing or undecodable file.
+  std::vector<Result<columnar::Table>> ReadFileSets(
+      const std::vector<FileSet>& sets) const;
+
   /// PlanScan + ReadScan convenience; `plan_out` receives the plan when
   /// non-null.
   Result<columnar::Table> ScanTable(const std::string& metadata_key,
@@ -144,9 +178,9 @@ class TableOps {
   Result<std::string> WriteMetadata(const TableMetadata& metadata);
   Result<std::string> WriteManifest(const std::string& table_name,
                                     const Manifest& manifest);
-  Result<std::string> WriteSnapshot(TableMetadata metadata,
-                                    const columnar::Table& data,
-                                    const std::string& operation);
+  Result<WrittenSnapshot> WriteSnapshot(TableMetadata metadata,
+                                        const columnar::Table& data,
+                                        const std::string& operation);
 
   storage::ObjectStore* store_;
   Clock* clock_;

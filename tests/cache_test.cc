@@ -14,6 +14,7 @@
 #include "cache/artifact_cache.h"
 #include "cache/fingerprint.h"
 #include "columnar/builder.h"
+#include "columnar/compute.h"
 #include "columnar/serialize.h"
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -23,6 +24,8 @@
 #include "pipeline/run_registry.h"
 #include "storage/fault_injection_store.h"
 #include "storage/object_store.h"
+#include "table/maintenance.h"
+#include "table/table_ops.h"
 #include "workload/taxi_gen.h"
 
 namespace bauplan {
@@ -65,6 +68,10 @@ std::map<std::string, Bytes> ArtifactBytes(const core::RunReport& report) {
     out[name] = columnar::SerializeTable(table);
   }
   return out;
+}
+
+catalog::RefSpec RefSpecOf(const std::string& name) {
+  return catalog::RefSpec(name);
 }
 
 /// A platform over its own in-memory store, pre-seeded with taxi data.
@@ -302,94 +309,279 @@ TEST(ArtifactCachePlatformTest, CacheFaultsNeverFailARun) {
   EXPECT_GT(p.bp->artifact_cache_stats().inserts, inserts_before);
 }
 
+// A SQL model's entry names the lake files its artifact was published
+// under. Expiring that snapshot deletes the files: the entry becomes a
+// miss, the node re-executes, and the run's bytes do not change.
+TEST(ArtifactCachePlatformTest, ExpiredNamedFileIsAMissWithIdenticalBytes) {
+  Platform p;
+  auto project = SmallPipeline();
+  auto cold = p.bp->Run(project, "main");
+  ASSERT_TRUE(cold.ok() && cold->merged);
+
+  // Someone overwrites `trips` on main and expires its old snapshot,
+  // which deletes the data file the cache entry for `trips` names.
+  columnar::Table other =
+      *columnar::TakeTable(cold->artifacts.at("trips"), {0, 1, 2, 3, 4});
+  ASSERT_TRUE(p.bp->WriteTable("main", "trips", other, true).ok());
+  auto trips_key = p.bp->mutable_catalog()->GetTable("main", "trips");
+  ASSERT_TRUE(trips_key.ok());
+  table::TableOps ops(&p.store, &p.clock);
+  table::TableMaintenance maintenance(&ops, &p.store);
+  auto expired = maintenance.ExpireSnapshots(*trips_key);
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  ASSERT_GT(expired->data_files_deleted, 0);
+
+  auto warm = p.bp->Run(project, "main");
+  ASSERT_TRUE(warm.ok() && warm->merged) << warm->status;
+  EXPECT_FALSE(warm->FindNode("trips")->cache_hit);
+  EXPECT_TRUE(warm->FindNode("busy")->cache_hit);
+  EXPECT_EQ(ArtifactBytes(*cold), ArtifactBytes(*warm));
+  auto reread = p.bp->ReadTable(RefSpecOf("main"), "trips");
+  ASSERT_TRUE(reread.ok());
+  EXPECT_EQ(columnar::SerializeTable(*reread),
+            columnar::SerializeTable(cold->artifacts.at("trips")));
+}
+
+// Replays never publish, so they never memoize: a replay of a run that
+// filled nothing inserts nothing, and a replay of a cached run hits.
+TEST(ArtifactCachePlatformTest, ReplayCanHitButInsertsNothing) {
+  Platform p;
+  auto project = SmallPipeline();
+  core::PipelineRunOptions no_cache;
+  no_cache.use_cache = false;
+  auto uncached = p.bp->Run(project, "main", no_cache);
+  ASSERT_TRUE(uncached.ok() && uncached->merged);
+  EXPECT_EQ(p.bp->artifact_cache_stats().inserts, 0);
+  auto replay = p.bp->ReplayRun(uncached->run_id);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(p.bp->artifact_cache_stats().inserts, 0);
+
+  auto cached = p.bp->Run(project, "main");
+  ASSERT_TRUE(cached.ok() && cached->merged);
+  const int64_t inserts = p.bp->artifact_cache_stats().inserts;
+  EXPECT_EQ(inserts, static_cast<int64_t>(project.nodes().size()));
+  auto hit = p.bp->ReplayRun(cached->run_id);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  for (const auto& node : hit->nodes) {
+    EXPECT_TRUE(node.cache_hit) << node.name;
+  }
+  EXPECT_EQ(p.bp->artifact_cache_stats().inserts, inserts);
+  EXPECT_EQ(ArtifactBytes(*cached), ArtifactBytes(*hit));
+}
+
+// A run whose audit fails publishes nothing, so it memoizes nothing.
+TEST(ArtifactCachePlatformTest, FailedAuditInsertsNothing) {
+  Platform p;
+  pipeline::PipelineProject project("failing");
+  ASSERT_TRUE(project
+                  .AddSqlNode("trips",
+                              "SELECT pickup_location_id, COUNT(*) AS n "
+                              "FROM taxi_table GROUP BY pickup_location_id")
+                  .ok());
+  ASSERT_TRUE(
+      project.AddExpectationNode("trips_expectation", "mean(n) > 1000000")
+          .ok());
+  auto report = p.bp->Run(project, "main");
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->merged);
+  EXPECT_EQ(p.bp->artifact_cache_stats().inserts, 0);
+  EXPECT_EQ(p.bp->artifact_cache_stats().entries, 0u);
+}
+
 // ---------------------------------------------------------------------
 // ArtifactCache unit level: LRU, eviction, stats, persistence.
 // ---------------------------------------------------------------------
 
-cache::CachedArtifact MakeArtifact(int64_t rows) {
-  cache::CachedArtifact artifact;
-  columnar::Int64Builder b;
-  for (int64_t i = 0; i < rows; ++i) b.Append(i);
-  artifact.table = *columnar::Table::Make(
-      columnar::Schema({{"v", columnar::TypeId::kInt64, false}}),
-      {b.Finish()});
-  artifact.output_rows = rows;
-  return artifact;
-}
+/// A cache over its own store, with the table layer that writes the
+/// lake files its entries name.
+struct UnitLake {
+  storage::MemoryObjectStore store;
+  SimClock clock{1000};
+  table::TableOps ops{&store, &clock};
+
+  /// Publishes `rows` rows as table `name`'s one-file snapshot and
+  /// returns the entry naming it.
+  cache::CachedArtifact Publish(const std::string& name, int64_t rows) {
+    columnar::Int64Builder b;
+    for (int64_t i = 0; i < rows; ++i) b.Append(i);
+    columnar::Schema schema({{"v", columnar::TypeId::kInt64, false}});
+    auto data = columnar::Table::Make(schema, {b.Finish()});
+    EXPECT_TRUE(data.ok());
+    auto key = ops.CreateTable(name, schema);
+    EXPECT_TRUE(key.ok());
+    auto written = ops.Overwrite(*ops.LoadMetadata(*key), *data);
+    EXPECT_TRUE(written.ok()) << written.status().ToString();
+    cache::CachedArtifact artifact;
+    artifact.output_rows = rows;
+    artifact.schema = schema;
+    artifact.manifest_key = written->manifest_key;
+    artifact.files = written->files;
+    return artifact;
+  }
+
+  /// What `cache` charges for `artifact`.
+  static uint64_t Charge(const cache::CachedArtifact& artifact) {
+    return artifact.Serialize().size() + artifact.FileBytes();
+  }
+
+  bool Hit(cache::ArtifactCache& cache, const std::string& key) {
+    return cache.Probe({key}, ops).count(key) > 0;
+  }
+};
 
 TEST(ArtifactCacheTest, LruEvictionUnderBudget) {
-  storage::MemoryObjectStore store;
-  auto one_entry = MakeArtifact(100).Serialize().size();
+  UnitLake lake;
+  auto k1 = lake.Publish("t1", 100);
+  auto k2 = lake.Publish("t2", 100);
+  auto k3 = lake.Publish("t3", 100);
+  const uint64_t one_entry = UnitLake::Charge(k1);
   // Room for two entries, not three.
-  cache::ArtifactCache cache(&store, 2 * one_entry + one_entry / 2);
+  cache::ArtifactCache cache(&lake.store, 2 * one_entry + one_entry / 2);
 
-  cache.Insert("k1", MakeArtifact(100));
-  cache.Insert("k2", MakeArtifact(100));
+  cache.Insert("k1", k1);
+  cache.Insert("k2", k2);
   EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(cache.used_bytes(), 2 * one_entry);
   // Touch k1 so k2 becomes the LRU victim.
-  EXPECT_TRUE(cache.Lookup("k1").has_value());
-  cache.Insert("k3", MakeArtifact(100));
+  EXPECT_TRUE(lake.Hit(cache, "k1"));
+  cache.Insert("k3", k3);
 
   auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1);
-  EXPECT_TRUE(cache.Lookup("k1").has_value());
-  EXPECT_FALSE(cache.Lookup("k2").has_value());
-  EXPECT_TRUE(cache.Lookup("k3").has_value());
+  EXPECT_TRUE(lake.Hit(cache, "k1"));
+  EXPECT_FALSE(lake.Hit(cache, "k2"));
+  EXPECT_TRUE(lake.Hit(cache, "k3"));
   EXPECT_LE(cache.used_bytes(), cache.budget_bytes());
 }
 
-TEST(ArtifactCacheTest, OverBudgetPayloadIsSkippedNotFatal) {
-  storage::MemoryObjectStore store;
-  cache::ArtifactCache cache(&store, 16);
-  cache.Insert("huge", MakeArtifact(1000));
+TEST(ArtifactCacheTest, EvictionLeavesTheNamedFileInPlace) {
+  UnitLake lake;
+  auto first = lake.Publish("t1", 100);
+  auto second = lake.Publish("t2", 100);
+  cache::ArtifactCache cache(&lake.store, UnitLake::Charge(first) + 1);
+  cache.Insert("first", first);
+  cache.Insert("second", second);  // evicts "first"
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_FALSE(lake.store.Get("cache/first").ok());
+  // The table snapshot still owns its file.
+  ASSERT_EQ(first.files.size(), 1u);
+  EXPECT_TRUE(lake.store.Get(first.files[0].path).ok());
+  EXPECT_TRUE(lake.store.Get(first.manifest_key).ok());
+}
+
+TEST(ArtifactCacheTest, ProbeDecodesTheNamedFiles) {
+  UnitLake lake;
+  cache::ArtifactCache cache(&lake.store, 1 << 20);
+  cache.Insert("a", lake.Publish("ta", 7));
+  cache.Insert("b", lake.Publish("tb", 0));  // an empty artifact: no file
+  auto hits = cache.Probe({"a", "b", "absent", ""}, lake.ops);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits.at("a").table.num_rows(), 7);
+  EXPECT_EQ(hits.at("a").table.GetValue(6, 0), columnar::Value::Int64(6));
+  EXPECT_EQ(hits.at("b").table.num_rows(), 0);
+  EXPECT_EQ(hits.at("b").table.num_columns(), 1);
+  EXPECT_EQ(cache.stats().hits, 2);
+  EXPECT_EQ(cache.stats().misses, 1);
+}
+
+TEST(ArtifactCacheTest, DeletedNamedFileIsAMiss) {
+  UnitLake lake;
+  cache::ArtifactCache cache(&lake.store, 1 << 20);
+  auto artifact = lake.Publish("t", 10);
+  cache.Insert("k", artifact);
+  ASSERT_TRUE(lake.store.Delete(artifact.files[0].path).ok());
+  EXPECT_FALSE(lake.Hit(cache, "k"));
+  EXPECT_EQ(cache.entry_count(), 0u);  // dropped, not retried forever
+  EXPECT_FALSE(lake.store.Get("cache/k").ok());
+}
+
+TEST(ArtifactCacheTest, CorruptNamedFileIsAMiss) {
+  UnitLake lake;
+  cache::ArtifactCache cache(&lake.store, 1 << 20);
+  auto artifact = lake.Publish("t", 10);
+  cache.Insert("k", artifact);
+  ASSERT_TRUE(lake.store.Put(artifact.files[0].path, Bytes{1, 2, 3}).ok());
+  EXPECT_FALSE(lake.Hit(cache, "k"));
   EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_FALSE(cache.Lookup("huge").has_value());
+}
+
+TEST(ArtifactCacheTest, OverBudgetPayloadIsSkippedNotFatal) {
+  UnitLake lake;
+  cache::ArtifactCache cache(&lake.store, 16);
+  cache.Insert("huge", lake.Publish("t", 1000));
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_FALSE(lake.Hit(cache, "huge"));
 }
 
 TEST(ArtifactCacheTest, ZeroBudgetDisables) {
-  storage::MemoryObjectStore store;
-  cache::ArtifactCache cache(&store, 0);
+  UnitLake lake;
+  cache::ArtifactCache cache(&lake.store, 0);
   EXPECT_FALSE(cache.enabled());
-  cache.Insert("k", MakeArtifact(10));
-  EXPECT_FALSE(cache.Lookup("k").has_value());
+  cache.Insert("k", lake.Publish("t", 10));
+  EXPECT_FALSE(lake.Hit(cache, "k"));
   EXPECT_EQ(cache.stats().inserts, 0);
 }
 
 TEST(ArtifactCacheTest, LoadIndexSeesEarlierProcessEntries) {
-  storage::MemoryObjectStore store;
+  UnitLake lake;
+  auto artifact = lake.Publish("t", 50);
   {
-    cache::ArtifactCache writer(&store, 1 << 20);
-    writer.Insert("persisted", MakeArtifact(50));
+    cache::ArtifactCache writer(&lake.store, 1 << 20);
+    writer.Insert("persisted", artifact);
   }
-  cache::ArtifactCache reader(&store, 1 << 20);
-  EXPECT_FALSE(reader.Lookup("persisted").has_value());  // index empty
+  cache::ArtifactCache reader(&lake.store, 1 << 20);
+  EXPECT_FALSE(lake.Hit(reader, "persisted"));  // index empty
   reader.LoadIndex();
-  auto hit = reader.Lookup("persisted");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->output_rows, 50);
+  // The reloaded index charges what the writer charged.
+  EXPECT_EQ(reader.used_bytes(), UnitLake::Charge(artifact));
+  auto hits = reader.Probe({"persisted"}, lake.ops);
+  ASSERT_EQ(hits.count("persisted"), 1u);
+  EXPECT_EQ(hits.at("persisted").artifact.output_rows, 50);
+  EXPECT_EQ(hits.at("persisted").table.num_rows(), 50);
 }
 
 TEST(ArtifactCacheTest, CorruptEntryDroppedOnFirstTouch) {
-  storage::MemoryObjectStore store;
-  cache::ArtifactCache cache(&store, 1 << 20);
-  cache.Insert("k", MakeArtifact(10));
-  ASSERT_TRUE(store.Put("cache/k", Bytes{0xde, 0xad}).ok());
-  EXPECT_FALSE(cache.Lookup("k").has_value());
+  UnitLake lake;
+  cache::ArtifactCache cache(&lake.store, 1 << 20);
+  cache.Insert("k", lake.Publish("t", 10));
+  ASSERT_TRUE(lake.store.Put("cache/k", Bytes{0xde, 0xad}).ok());
+  EXPECT_FALSE(lake.Hit(cache, "k"));
   EXPECT_EQ(cache.entry_count(), 0u);  // dropped, not retried forever
 }
 
 TEST(ArtifactCacheTest, ClearDropsEverything) {
-  storage::MemoryObjectStore store;
-  cache::ArtifactCache cache(&store, 1 << 20);
-  cache.Insert("a", MakeArtifact(10));
-  cache.Insert("b", MakeArtifact(10));
+  UnitLake lake;
+  cache::ArtifactCache cache(&lake.store, 1 << 20);
+  auto a = lake.Publish("ta", 10);
+  cache.Insert("a", a);
+  cache.Insert("b", lake.Publish("tb", 10));
   auto dropped = cache.Clear();
   ASSERT_TRUE(dropped.ok());
   EXPECT_EQ(*dropped, 2u);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.used_bytes(), 0u);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
+  EXPECT_FALSE(lake.Hit(cache, "a"));
+  // Entries go; the lake's files stay.
+  EXPECT_TRUE(lake.store.Get(a.files[0].path).ok());
+}
+
+TEST(ArtifactCacheTest, EntryNamesFilesAndHoldsNoTable) {
+  UnitLake lake;
+  auto artifact = lake.Publish("t", 5000);
+  Bytes entry = artifact.Serialize();
+  // The entry is a few hundred bytes however large the artifact is.
+  EXPECT_LT(entry.size(), 512u);
+  EXPECT_GT(artifact.FileBytes(), entry.size());
+  auto decoded = cache::CachedArtifact::Deserialize(entry);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->manifest_key, artifact.manifest_key);
+  ASSERT_EQ(decoded->files.size(), 1u);
+  EXPECT_EQ(decoded->files[0].path, artifact.files[0].path);
+  EXPECT_EQ(decoded->files[0].file_size_bytes,
+            artifact.files[0].file_size_bytes);
+  EXPECT_TRUE(decoded->schema == artifact.schema);
+  EXPECT_EQ(decoded->output_rows, 5000);
 }
 
 TEST(ArtifactCacheTest, ExpectationArtifactRoundTrips) {
@@ -469,7 +661,7 @@ TEST(RunRegistryCacheTest, CachedNodesRoundTrip) {
   auto record = registry.RegisterRun(project, "main", "commit-1");
   ASSERT_TRUE(record.ok());
   ASSERT_TRUE(registry
-                  .FinishRun(record->run_id, "succeeded", "commit-2",
+                  .FinishRun(*record, "succeeded", "commit-2",
                              {"n", "m"})
                   .ok());
   auto loaded = registry.GetRun(record->run_id);

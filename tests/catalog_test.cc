@@ -520,6 +520,45 @@ TEST(CatalogMergeCostTest, FastForwardReadsOnlyTheNewCommits) {
   EXPECT_LE(long_history, 4);
 }
 
+/// Commit reads of publishing onto a pin of a main with `prior` commits
+/// of history after one other writer moved main by one commit.
+int64_t StalePinCommitReads(int prior) {
+  storage::MemoryObjectStore backing;
+  CommitReadCounter store(&backing);
+  SimClock clock(1000);
+  auto catalog = Catalog::Open(&store, &clock);
+  EXPECT_TRUE(catalog.ok());
+  for (int i = 0; i < prior; ++i) {
+    TableChanges changes;
+    changes.puts["history"] = "history/v" + std::to_string(i);
+    EXPECT_TRUE(
+        catalog->CommitChanges("main", "history", "tester", changes).ok());
+  }
+  PinnedTables pin = catalog->Pin(RefSpec("main"));
+  EXPECT_TRUE(pin.tables().ok());
+  TableChanges theirs;
+  theirs.puts["other"] = "other/v1";
+  EXPECT_TRUE(catalog->CommitChanges("main", "other", "tester", theirs).ok());
+
+  TableChanges ours;
+  ours.puts["artifact"] = "artifact/v1";
+  int64_t before = store.commit_gets();
+  auto merged = catalog->CommitOnto(pin, "main", "run", "tester", ours);
+  const int64_t reads = store.commit_gets() - before;
+  EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(merged.ok() && !merged->fast_forward);
+  EXPECT_EQ(*catalog->GetTable("main", "artifact"), "artifact/v1");
+  EXPECT_EQ(*catalog->GetTable("main", "other"), "other/v1");
+  return reads;
+}
+
+TEST(CatalogMergeCostTest, StalePinMergeStopsAtTheMergeBase) {
+  int64_t short_history = StalePinCommitReads(5);
+  int64_t long_history = StalePinCommitReads(500);
+  EXPECT_EQ(short_history, long_history);
+  EXPECT_LE(long_history, 4);
+}
+
 // ---------------------------------------------------------------- RefSpec
 
 TEST(RefSpecTest, ParsePlainNameAndDefaults) {

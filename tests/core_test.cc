@@ -8,6 +8,7 @@
 
 #include "columnar/builder.h"
 #include "columnar/datetime.h"
+#include "columnar/serialize.h"
 #include "common/strings.h"
 #include "core/bauplan.h"
 #include "pipeline/project.h"
@@ -860,6 +861,110 @@ TEST_F(PublishTest, PublishingCostDoesNotGrowWithArtifactCount) {
   EXPECT_LE(eight.publish_micros * 2, two.publish_micros * 3)
       << "2 artifacts: " << two.publish_micros
       << " us, 8 artifacts: " << eight.publish_micros << " us";
+}
+
+TEST_F(PublishTest, RunWritesItsRecordWithoutReadingIt) {
+  auto report = platform().Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->merged) << report->status;
+  std::vector<std::string> calls = TakeCalls();
+  // Registration lists the ids and writes the record; finishing writes
+  // the record the run already holds, without reading it back.
+  EXPECT_EQ(CountPrefix(calls, "LIST runs/"), 1u);
+  EXPECT_EQ(CountPrefix(calls, "PUT runs/"), 2u);
+  size_t touching_runs = 0;
+  for (const auto& call : calls) {
+    if (call.find(" runs/") != std::string::npos) ++touching_runs;
+  }
+  EXPECT_EQ(touching_runs, 3u);
+}
+
+TEST_F(PublishTest, AllHitFusedRunInvokesNothingWritesNothingCommitsNothing) {
+  const auto project = pipeline::MakePaperTaxiPipeline(1.0);
+  auto cold = platform().Run(project, "main");
+  ASSERT_TRUE(cold.ok() && cold->merged);
+  const std::string head = MainHead();
+  TakeCalls();
+
+  auto warm = platform().Run(project, "main");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(warm->merged) << warm->status;
+  for (const auto& node : warm->nodes) {
+    EXPECT_TRUE(node.cache_hit) << node.name;
+  }
+  EXPECT_FALSE(warm->fused.has_value());  // no function invoked
+  std::vector<std::string> calls = TakeCalls();
+  EXPECT_EQ(CountPrefix(calls, "PUT lake/"), 0u);
+  EXPECT_EQ(CountPrefix(calls, "PUT catalog/"), 0u);
+  EXPECT_EQ(CountPrefix(calls, "PUT cache/"), 0u);
+  EXPECT_EQ(MainHead(), head);
+  EXPECT_EQ(warm->merged_commit_id, head);
+  // The cache holds entries, not tables: each SQL hit was read from the
+  // lake's own data file.
+  size_t data_gets = 0;
+  for (const auto& call : calls) {
+    if (call.rfind("GET lake/", 0) == 0 &&
+        call.find("/data/") != std::string::npos) {
+      ++data_gets;
+    }
+  }
+  EXPECT_EQ(data_gets, cold->artifacts.size());
+  ASSERT_EQ(cold->artifacts.size(), warm->artifacts.size());
+  for (const auto& [name, table] : cold->artifacts) {
+    EXPECT_EQ(columnar::SerializeTable(table),
+              columnar::SerializeTable(warm->artifacts.at(name)))
+        << name;
+  }
+}
+
+TEST_F(PublishTest, HitPublishesItsFilesByReference) {
+  auto with_floor = [](int floor) {
+    pipeline::PipelineProject project("floor");
+    EXPECT_TRUE(project
+                    .AddSqlNode("trips",
+                                StrCat("SELECT pickup_location_id, fare FROM "
+                                       "taxi_table WHERE passenger_count >= ",
+                                       floor))
+                    .ok());
+    EXPECT_TRUE(project
+                    .AddSqlNode("busy",
+                                "SELECT pickup_location_id, COUNT(*) AS n "
+                                "FROM trips GROUP BY pickup_location_id")
+                    .ok());
+    return project;
+  };
+  const auto original = with_floor(1);
+  const auto edited = with_floor(2);
+  ASSERT_TRUE(platform().Run(original, "main").ok());
+  ASSERT_TRUE(platform().Run(edited, "main").ok());
+  TakeCalls();
+  // Reverting the edit hits the entries of the first run, whose files
+  // main no longer points at: each changed table gets a manifest and a
+  // metadata object, and no data file is written.
+  auto reverted = platform().Run(original, "main");
+  ASSERT_TRUE(reverted.ok() && reverted->merged);
+  std::vector<std::string> calls = TakeCalls();
+  size_t data_puts = 0;
+  size_t manifest_puts = 0;
+  for (const auto& call : calls) {
+    if (call.rfind("PUT lake/", 0) != 0) continue;
+    if (call.find("/data/") != std::string::npos) ++data_puts;
+    if (call.find("/metadata/manifest-") != std::string::npos) {
+      ++manifest_puts;
+    }
+  }
+  size_t hits = 0;
+  for (const auto& node : reverted->nodes) {
+    if (node.cache_hit && node.kind == pipeline::NodeKind::kSqlModel) ++hits;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(data_puts, 0u);
+  EXPECT_EQ(manifest_puts, hits);
+  EXPECT_EQ(hits, 2u);
+  auto trips = platform().ReadTable(catalog::RefSpec("main"), "trips");
+  ASSERT_TRUE(trips.ok());
+  EXPECT_EQ(columnar::SerializeTable(*trips),
+            columnar::SerializeTable(reverted->artifacts.at("trips")));
 }
 
 TEST_F(PublishTest, FailedArtifactWriteCommitsNothing) {

@@ -212,6 +212,47 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(ParseSelect("").ok());
 }
 
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+TEST(ParserTest, DeeplyNestedParenthesesAreAnErrorNotACrash) {
+  const std::string sql = StrCat("SELECT ", Repeat("(", 5000), "1",
+                                 Repeat(")", 5000), " AS x FROM t");
+  auto stmt = ParseSelect(sql);
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_TRUE(stmt.status().IsInvalidArgument()) << stmt.status().ToString();
+  EXPECT_NE(stmt.status().message().find("at position"), std::string::npos);
+  EXPECT_NE(stmt.status().message().find("nested deeper"), std::string::npos);
+}
+
+TEST(ParserTest, FlatHugeSumIsLimitedByTreeDepth) {
+  // One loop in the parser, but a 50,000-deep left spine for every later
+  // tree walk: the limit counts tree depth, not recursion.
+  const std::string sql =
+      StrCat("SELECT 1", Repeat("+1", 49999), " AS x FROM t");
+  auto stmt = ParseSelect(sql);
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_TRUE(stmt.status().IsInvalidArgument()) << stmt.status().ToString();
+  EXPECT_NE(stmt.status().message().find("at position"), std::string::npos);
+
+  auto unary = ParseSelect(StrCat("SELECT ", Repeat("- ", 50000), "1 FROM t"));
+  EXPECT_TRUE(unary.status().IsInvalidArgument());
+  auto negations =
+      ParseSelect(StrCat("SELECT a FROM t WHERE ", Repeat("NOT ", 50000), "a"));
+  EXPECT_TRUE(negations.status().IsInvalidArgument());
+}
+
+TEST(ParserTest, TwoThousandTermSumStillParses) {
+  auto stmt =
+      ParseSelect(StrCat("SELECT 1", Repeat("+1", 1999), " AS x FROM t"));
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt->items.size(), 1u);
+}
+
 TEST(ParserTest, BetweenInLikeCase) {
   auto stmt = ParseSelect(
       "SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t "
